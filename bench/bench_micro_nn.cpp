@@ -32,9 +32,20 @@ void BM_MlpForward(benchmark::State& state) {
     benchmark::DoNotOptimize(mlp.predict(x));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  // One multiply and one add per weight per row; a rate over wall time.
+  Real flops_per_row = 0.0;
+  for (Index l = 0; l < mlp.layer_count(); ++l) {
+    flops_per_row += 2.0 * static_cast<Real>(mlp.layer(l).in_features() *
+                                             mlp.layer(l).out_features());
+  }
+  state.counters["FLOPS"] = benchmark::Counter(
+      static_cast<Real>(state.iterations()) * static_cast<Real>(state.range(0)) *
+          flops_per_row,
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MlpForward)
     ->ArgsProduct({{256, 4096, 65536}, {16, 32}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_MlpTrainStep(benchmark::State& state) {

@@ -105,6 +105,15 @@ WidthPrediction PowerPlanningDL::predict(const grid::PowerGrid& pg) const {
 
   const std::vector<Dataset> datasets =
       build_layer_datasets(pg, config_.features, extractor_);
+  std::size_t total_rows = 0;
+  for (const Dataset& d : datasets) {
+    total_rows += d.branch.size();
+  }
+  // ppdl-lint: allow(unguarded-ingest-alloc) -- total_rows sums the sizes
+  // of the in-memory datasets just built from `pg`, not a decoded length
+  out.branch.reserve(total_rows);
+  // ppdl-lint: allow(unguarded-ingest-alloc) -- same in-memory row count
+  out.predicted.reserve(total_rows);
   for (const Dataset& d : datasets) {
     const auto it = models_.find(d.layer);
     if (it == models_.end()) {
@@ -120,12 +129,12 @@ WidthPrediction PowerPlanningDL::predict(const grid::PowerGrid& pg) const {
     const nn::Matrix xs = lm.x_scaler.transform(d.x);
     const nn::Matrix zs = lm.mlp.predict(xs);
     const nn::Matrix ys = lm.y_scaler.inverse_transform(zs);
+    // A regressor can emit non-physical widths in the tail; floor at a
+    // sliver of the layer default so resistances stay finite.
+    const Real floor_w = pg.layer(d.layer).default_width * 0.05;
     for (Index r = 0; r < ys.rows(); ++r) {
       out.branch.push_back(d.branch[static_cast<std::size_t>(r)]);
-      Real w = config_.log_target ? std::exp(ys(r, 0)) : ys(r, 0);
-      // A regressor can emit non-physical widths in the tail; floor at a
-      // sliver of the layer default so resistances stay finite.
-      const Real floor_w = pg.layer(d.layer).default_width * 0.05;
+      const Real w = config_.log_target ? std::exp(ys(r, 0)) : ys(r, 0);
       out.predicted.push_back(std::max(w, floor_w));
     }
   }

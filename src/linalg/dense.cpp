@@ -63,22 +63,16 @@ Index row_grain_for(Index flops_per_row) {
 DenseMatrix DenseMatrix::multiply(const DenseMatrix& other) const {
   PPDL_REQUIRE(cols_ == other.rows_, "matmul: inner dimension mismatch");
   DenseMatrix out(rows_, other.cols_);
-  // Row-parallel: every output row is one chunk-owned serial accumulation.
-  parallel::for_range(
-      rows_, row_grain_for(cols_ * other.cols_),
-      [&](Index row_begin, Index row_end) {
-        for (Index i = row_begin; i < row_end; ++i) {
-          for (Index k = 0; k < cols_; ++k) {
-            const Real aik = (*this)(i, k);
-            if (aik == 0.0) {
-              continue;
-            }
-            for (Index j = 0; j < other.cols_; ++j) {
-              out(i, j) += aik * other(k, j);
-            }
-          }
-        }
-      });
+  // Plain serial i-k-j reference: out(i, j) = 0.0 + Σₖ a(i,k)·b(k,j) with
+  // k ascending (the order nn's inference kernel reproduces bit for bit).
+  for (Index i = 0; i < rows_; ++i) {
+    for (Index k = 0; k < cols_; ++k) {
+      const Real aik = (*this)(i, k);
+      for (Index j = 0; j < other.cols_; ++j) {
+        out(i, j) += aik * other(k, j);
+      }
+    }
+  }
   return out;
 }
 

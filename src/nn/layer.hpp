@@ -24,6 +24,14 @@ class DenseLayer {
   /// Inference-only forward pass: no caching, usable on const models.
   Matrix apply(const Matrix& x) const;
 
+  /// The inference kernel: out = σ(in · W + b) over `rows` dense row-major
+  /// rows (`in` is rows × in_features, `out` rows × out_features; they must
+  /// not overlap). Each output is computed as 0.0 + Σₖ in(i,k)·W(k,j) with k
+  /// ascending, then + b(j), then σ — bit-identical to
+  /// DenseMatrix::multiply + bias + apply_activation, and independent of
+  /// how a batch is split into calls.
+  void apply_rows(const Real* in, Index rows, Real* out) const;
+
   /// Backward pass for the cached batch: takes dL/dy, fills dL/dW and dL/db,
   /// returns dL/dx. Must follow a forward(…, /*train=*/true).
   Matrix backward(const Matrix& grad_out);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace ppdl::nn {
 
@@ -48,13 +49,43 @@ Matrix Mlp::forward(const Matrix& x, bool train) {
   return h;
 }
 
+namespace {
+
+// Inference walks a block of rows through every layer before moving on, so
+// the activations live in two block × widest scratch buffers that stay in
+// L1. A chunk spans many blocks to amortize the scratch allocation and the
+// dispatch. Rows are independent, so neither constant affects the bits.
+constexpr Index kPredictBlockRows = 32;
+constexpr Index kPredictChunkRows = 32 * kPredictBlockRows;
+
+}  // namespace
+
 Matrix Mlp::predict(const Matrix& x) const {
   PPDL_REQUIRE(x.cols() == config_.inputs, "MLP predict: input size mismatch");
-  Matrix h = x;
+  Matrix out(x.rows(), config_.outputs);
+  Index widest = 0;
   for (const DenseLayer& layer : layers_) {
-    h = layer.apply(h);
+    widest = std::max(widest, layer.out_features());
   }
-  return h;
+  const std::size_t scratch_size =
+      static_cast<std::size_t>(kPredictBlockRows * widest);
+  const std::size_t last = layers_.size() - 1;
+  parallel::for_range(x.rows(), kPredictChunkRows, [&](Index begin, Index end) {
+    std::vector<Real> ping(scratch_size);
+    std::vector<Real> pong(scratch_size);
+    for (Index r = begin; r < end; r += kPredictBlockRows) {
+      const Index rows = std::min(kPredictBlockRows, end - r);
+      const Real* in = x.data().data() + r * config_.inputs;
+      for (std::size_t l = 0; l < last; ++l) {
+        Real* dst = (l % 2 == 0 ? ping : pong).data();
+        layers_[l].apply_rows(in, rows, dst);
+        in = dst;
+      }
+      layers_[last].apply_rows(in, rows,
+                               out.data().data() + r * config_.outputs);
+    }
+  });
+  return out;
 }
 
 void Mlp::backward(const Matrix& grad_output) {

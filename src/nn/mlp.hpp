@@ -38,7 +38,9 @@ class Mlp {
   /// Forward pass. `train` caches intermediates for a following backward().
   Matrix forward(const Matrix& x, bool train = false);
 
-  /// Inference-only forward (no caching; usable on const models).
+  /// Inference-only forward (no caching; usable on const models). Runs
+  /// row blocks through all layers in parallel row chunks; bit-identical
+  /// to applying the layers one by one, for any thread count.
   Matrix predict(const Matrix& x) const;
 
   /// Backpropagate dL/dŷ through the net, filling every layer's gradients.

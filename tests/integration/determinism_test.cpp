@@ -1,7 +1,8 @@
 // End-to-end determinism: the parallel substrate must produce BIT-IDENTICAL
 // results for any thread count (1, 2, 8) and across repeated runs at the
 // same count. Exercised through every parallelized hot path: the IR solver,
-// NN training, golden-dataset generation, and the conventional planner.
+// NN training and inference, golden-dataset generation, and the
+// conventional planner.
 //
 // All comparisons are EXPECT_EQ on doubles — exact equality is the
 // contract, not a tolerance.
@@ -193,6 +194,31 @@ TEST(Determinism, TrainedWeightsAcrossThreadCounts) {
     expect_bitwise_equal(to_vector(ref[i].data()), to_vector(again[i].data()),
                          "trained parameter tensor repeat");
   }
+}
+
+TEST(Determinism, MlpPredictAcrossThreadCounts) {
+  ThreadGuard guard;
+  // Enough rows for predict() to split into many row chunks, with an odd
+  // count so the last chunk and the last register tile are both partial.
+  const Index rows = 20001;
+  Rng init(21);
+  const nn::Mlp model(nn::MlpConfig::paper_default(3, 1, 10, 16), init);
+  nn::Matrix x(rows, 3);
+  Rng rng(22);
+  for (Real& v : x.data()) {
+    v = rng.normal();
+  }
+
+  const auto predict_at = [&](Index threads) {
+    parallel::set_num_threads(threads);
+    return to_vector(model.predict(x).data());
+  };
+
+  const std::vector<Real> ref = predict_at(1);
+  for (const Index threads : kThreadCounts) {
+    expect_bitwise_equal(ref, predict_at(threads), "MLP predictions");
+  }
+  expect_bitwise_equal(ref, predict_at(8), "MLP predictions repeat");
 }
 
 TEST(Determinism, PlannerWidthsAcrossThreadCounts) {

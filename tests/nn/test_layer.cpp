@@ -55,7 +55,7 @@ TEST(Layer, ApplyMatchesForward) {
   const Matrix b = layer.apply(x);
   for (Index r = 0; r < a.rows(); ++r) {
     for (Index c = 0; c < a.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(a(r, c), b(r, c));
+      EXPECT_EQ(a(r, c), b(r, c));
     }
   }
 }

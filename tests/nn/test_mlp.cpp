@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/loss.hpp"
@@ -62,7 +68,90 @@ TEST(Mlp, PredictConstMatchesForward) {
   const Matrix b = view.predict(x);
   for (Index r = 0; r < a.rows(); ++r) {
     for (Index col = 0; col < a.cols(); ++col) {
-      EXPECT_DOUBLE_EQ(a(r, col), b(r, col));
+      EXPECT_EQ(a(r, col), b(r, col));
+    }
+  }
+}
+
+// Layer-by-layer reference: DenseMatrix::multiply (k-ascending from 0.0),
+// then + bias, then apply_activation — the arithmetic predict() must
+// reproduce bit for bit.
+Matrix reference_predict(const Mlp& mlp, const Matrix& x) {
+  Matrix h = x;
+  for (Index l = 0; l < mlp.layer_count(); ++l) {
+    const DenseLayer& layer = mlp.layer(l);
+    Matrix z = h.multiply(layer.weights());
+    for (Index r = 0; r < z.rows(); ++r) {
+      for (Index c = 0; c < z.cols(); ++c) {
+        z(r, c) += layer.bias()(0, c);
+      }
+    }
+    apply_activation(z, layer.activation());
+    h = std::move(z);
+  }
+  return h;
+}
+
+// Same bits (so +0.0 ≠ -0.0), or NaN on both sides.
+void expect_same_bits(const Matrix& want, const Matrix& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  const auto a = want.data();
+  const auto b = got.data();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i])) {
+      ASSERT_TRUE(std::isnan(b[i])) << what << " element " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<U64>(a[i]), std::bit_cast<U64>(b[i]))
+          << what << " element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+}
+
+TEST(Mlp, PredictBitIdenticalToLayerByLayerReference) {
+  const Activation kinds[] = {Activation::kIdentity, Activation::kRelu,
+                              Activation::kLeakyRelu, Activation::kTanh,
+                              Activation::kSigmoid};
+  const Index row_counts[] = {0, 1, 2, 3, 63, 64, 65, 257, 1000};
+  const Index widths[] = {1, 3, 8, 9, 16, 17, 32};
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  U64 seed = 100;
+  for (const Activation act : kinds) {
+    for (const Index width : widths) {
+      for (const Index outputs : {Index{1}, Index{2}}) {
+        MlpConfig c;
+        c.inputs = 3;
+        c.outputs = outputs;
+        c.hidden = {width, width, 9};
+        c.hidden_activation = act;
+        c.output_activation = act;
+        Rng rng(++seed);
+        Mlp mlp(c, rng);
+        for (Index l = 0; l < mlp.layer_count(); ++l) {
+          for (Real& b : mlp.layer(l).bias().data()) {
+            b = rng.uniform(-0.5, 0.5);
+          }
+        }
+        for (const Index rows : row_counts) {
+          Matrix x(rows, c.inputs);
+          for (Real& v : x.data()) {
+            v = rng.normal();
+          }
+          // Signed zeros and NaN in the input, spread over tiles and tails.
+          for (Index r = 0; r < rows; r += 5) {
+            x(r, r % c.inputs) = (r % 2 == 0) ? 0.0 : -0.0;
+          }
+          for (Index r = 3; r < rows; r += 11) {
+            x(r, (r + 1) % c.inputs) = nan;
+          }
+          expect_same_bits(reference_predict(mlp, x), mlp.predict(x),
+                           "act " + to_string(act) + " width " +
+                               std::to_string(width) + " outputs " +
+                               std::to_string(outputs) + " rows " +
+                               std::to_string(rows));
+        }
+      }
     }
   }
 }
