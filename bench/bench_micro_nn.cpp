@@ -24,6 +24,24 @@ nn::Matrix random_batch(Index rows, Index cols, U64 seed) {
   return m;
 }
 
+/// One multiply and one add per weight per row: the forward pass's FLOPs.
+Real forward_flops_per_row(const nn::Mlp& mlp) {
+  Real flops = 0.0;
+  for (Index l = 0; l < mlp.layer_count(); ++l) {
+    flops += 2.0 * static_cast<Real>(mlp.layer(l).in_features() *
+                                     mlp.layer(l).out_features());
+  }
+  return flops;
+}
+
+/// `flops_per_row` × rows × iterations, as a rate over wall time.
+void set_flops_counter(benchmark::State& state, Real flops_per_row) {
+  state.counters["FLOPS"] = benchmark::Counter(
+      static_cast<Real>(state.iterations()) * static_cast<Real>(state.range(0)) *
+          flops_per_row,
+      benchmark::Counter::kIsRate);
+}
+
 void BM_MlpForward(benchmark::State& state) {
   Rng rng(1);
   nn::Mlp mlp(nn::MlpConfig::paper_default(3, 1, 10, state.range(1)), rng);
@@ -32,16 +50,7 @@ void BM_MlpForward(benchmark::State& state) {
     benchmark::DoNotOptimize(mlp.predict(x));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  // One multiply and one add per weight per row; a rate over wall time.
-  Real flops_per_row = 0.0;
-  for (Index l = 0; l < mlp.layer_count(); ++l) {
-    flops_per_row += 2.0 * static_cast<Real>(mlp.layer(l).in_features() *
-                                             mlp.layer(l).out_features());
-  }
-  state.counters["FLOPS"] = benchmark::Counter(
-      static_cast<Real>(state.iterations()) * static_cast<Real>(state.range(0)) *
-          flops_per_row,
-      benchmark::Counter::kIsRate);
+  set_flops_counter(state, forward_flops_per_row(mlp));
 }
 BENCHMARK(BM_MlpForward)
     ->ArgsProduct({{256, 4096, 65536}, {16, 32}})
@@ -67,6 +76,33 @@ BENCHMARK(BM_MlpTrainStep)
     ->Arg(128)
     ->Arg(512)
     ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+/// One epoch of nn::train (Adam, batch 128, no validation split) on the
+/// paper's 3 → 10×16 → 1 model — the offline fit's unit of work.
+void BM_TrainEpoch(benchmark::State& state) {
+  const nn::Matrix x = random_batch(state.range(0), 3, 4);
+  const nn::Matrix y = random_batch(state.range(0), 1, 5);
+  const nn::MlpConfig config = nn::MlpConfig::paper_default(3, 1, 10, 16);
+  nn::TrainOptions opts;
+  opts.epochs = 1;
+  opts.batch_size = 128;
+  opts.validation_fraction = 0.0;
+  for (auto _ : state) {
+    Rng rng(3);
+    nn::Mlp mlp(config, rng);
+    benchmark::DoNotOptimize(nn::train(mlp, x, y, opts));
+    benchmark::DoNotOptimize(mlp.layer(0).weights().data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  // Forward, dW = xᵀδ and dx = δWᵀ: about three forward passes per row.
+  Rng rng(3);
+  set_flops_counter(state, 3.0 * forward_flops_per_row(nn::Mlp(config, rng)));
+}
+BENCHMARK(BM_TrainEpoch)
+    ->Arg(4096)
+    ->Arg(20000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_AdamStepOnly(benchmark::State& state) {

@@ -19,6 +19,7 @@ class DenseLayer {
   Activation activation() const { return activation_; }
 
   /// Forward pass; caches input and pre-activations when `train` is true.
+  /// A wrapper over forward_rows().
   Matrix forward(const Matrix& x, bool train);
 
   /// Inference-only forward pass: no caching, usable on const models.
@@ -32,25 +33,28 @@ class DenseLayer {
   /// how a batch is split into calls.
   void apply_rows(const Real* in, Index rows, Real* out) const;
 
+  /// The training forward kernel: apply_rows() that also keeps the
+  /// pre-activations z = in · W + b in `preact` (rows × out_features).
+  void forward_rows(const Real* in, Index rows, Real* preact, Real* out) const;
+
+  /// The training backward kernel over the rows a forward_rows() call saw
+  /// (`in`, `preact`). On entry `delta` holds dL/dy (rows × out_features);
+  /// it is overwritten with dL/dz = σ'(z) ⊙ dL/dy. Accumulates (+=)
+  /// dW = inᵀ·δ into `grad_w` (in × out, each element summed over rows in
+  /// ascending order, skipping rows whose input is 0) and db = column sums
+  /// of δ into `grad_b`. When `grad_in` is non-null, also writes
+  /// dL/dx = δ·Wᵀ (rows × in_features, same arithmetic as
+  /// DenseMatrix::multiply) into it, staging Wᵀ in `wt_scratch`
+  /// (in × out values). Const, and touches only the caller's buffers, so
+  /// sub-batches can run concurrently against the same weights.
+  void backward_rows(const Real* in, const Real* preact, Real* delta,
+                     Index rows, Real* grad_w, Real* grad_b, Real* grad_in,
+                     Real* wt_scratch) const;
+
   /// Backward pass for the cached batch: takes dL/dy, fills dL/dW and dL/db,
-  /// returns dL/dx. Must follow a forward(…, /*train=*/true).
+  /// returns dL/dx. Must follow a forward(…, /*train=*/true). A wrapper
+  /// over backward_rows().
   Matrix backward(const Matrix& grad_out);
-
-  // Stateless counterparts for data-parallel training: no member caches or
-  // gradient buffers are touched, so several sub-batches can flow through
-  // the same (read-only) weights concurrently.
-
-  /// Forward returning the activation and writing pre-activations into
-  /// `preact`. Const — safe to call concurrently.
-  Matrix forward_into(const Matrix& x, Matrix& preact) const;
-
-  /// Backward for a sub-batch: given dL/dy plus the (x, preact) pair the
-  /// matching forward_into() saw, accumulates (+=) dW/db into the caller's
-  /// buffers and returns dL/dx. Const — safe to call concurrently with
-  /// distinct buffers.
-  Matrix backward_into(const Matrix& grad_out, const Matrix& x,
-                       const Matrix& preact, Matrix& grad_w,
-                       Matrix& grad_b) const;
 
   // Parameter and gradient access for optimizers and serialization.
   Matrix& weights() { return weights_; }

@@ -36,8 +36,21 @@ Real loss_value(const Matrix& pred, const Matrix& target, Loss loss,
                 Real huber_delta) {
   PPDL_REQUIRE(pred.rows() == target.rows() && pred.cols() == target.cols(),
                "loss: shape mismatch");
-  const auto p = pred.data();
-  const auto t = target.data();
+  return loss_value(pred.data(), target.data(), loss, huber_delta);
+}
+
+Matrix loss_gradient(const Matrix& pred, const Matrix& target, Loss loss,
+                     Real huber_delta) {
+  PPDL_REQUIRE(pred.rows() == target.rows() && pred.cols() == target.cols(),
+               "loss gradient: shape mismatch");
+  Matrix grad(pred.rows(), pred.cols());
+  loss_gradient(pred.data(), target.data(), loss, grad.data(), huber_delta);
+  return grad;
+}
+
+Real loss_value(std::span<const Real> p, std::span<const Real> t, Loss loss,
+                Real huber_delta) {
+  PPDL_REQUIRE(p.size() == t.size(), "loss: shape mismatch");
   PPDL_REQUIRE(!p.empty(), "loss of empty matrices");
   Real acc = 0.0;
   for (std::size_t i = 0; i < p.size(); ++i) {
@@ -60,14 +73,10 @@ Real loss_value(const Matrix& pred, const Matrix& target, Loss loss,
   return acc / static_cast<Real>(p.size());
 }
 
-Matrix loss_gradient(const Matrix& pred, const Matrix& target, Loss loss,
-                     Real huber_delta) {
-  PPDL_REQUIRE(pred.rows() == target.rows() && pred.cols() == target.cols(),
+void loss_gradient(std::span<const Real> p, std::span<const Real> t,
+                   Loss loss, std::span<Real> g, Real huber_delta) {
+  PPDL_REQUIRE(p.size() == t.size() && p.size() == g.size(),
                "loss gradient: shape mismatch");
-  Matrix grad(pred.rows(), pred.cols());
-  const auto p = pred.data();
-  const auto t = target.data();
-  auto g = grad.data();
   const Real inv_n = 1.0 / static_cast<Real>(p.size());
   for (std::size_t i = 0; i < p.size(); ++i) {
     const Real d = p[i] - t[i];
@@ -86,7 +95,6 @@ Matrix loss_gradient(const Matrix& pred, const Matrix& target, Loss loss,
         break;
     }
   }
-  return grad;
 }
 
 }  // namespace ppdl::nn

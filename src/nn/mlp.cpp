@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -117,34 +118,70 @@ Mlp::GradientBuffers Mlp::make_gradient_buffers() const {
   return buffers;
 }
 
-void Mlp::accumulate_gradients(const Matrix& x, const Matrix& y, Loss loss,
-                               Real delta_scale, GradientBuffers& out) const {
-  PPDL_REQUIRE(x.cols() == config_.inputs,
-               "accumulate_gradients: input size mismatch");
+void Mlp::accumulate_gradients(const Matrix& x, const Matrix& y, Index begin,
+                               Index end, Loss loss, Real delta_scale,
+                               GradientBuffers& out) const {
+  PPDL_REQUIRE(x.cols() == config_.inputs && y.cols() == config_.outputs,
+               "accumulate_gradients: input/output size mismatch");
+  PPDL_REQUIRE(begin >= 0 && begin < end && end <= x.rows() &&
+                   end <= y.rows(),
+               "accumulate_gradients: bad row range");
   PPDL_REQUIRE(out.weight_grads.size() == layers_.size() &&
                    out.bias_grads.size() == layers_.size(),
                "accumulate_gradients: buffer layer count mismatch");
-  const std::size_t n_layers = layers_.size();
-  std::vector<Matrix> inputs;
-  inputs.reserve(n_layers);
-  std::vector<Matrix> preacts(n_layers);
-  Matrix a = x;
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    Matrix next = layers_[l].forward_into(a, preacts[l]);
-    inputs.push_back(std::move(a));
-    a = std::move(next);
+  const Index rows = end - begin;
+  Index sum_out = 0;
+  Index widest = 0;
+  Index largest = 0;
+  for (const DenseLayer& layer : layers_) {
+    sum_out += layer.out_features();
+    widest = std::max({widest, layer.in_features(), layer.out_features()});
+    largest = std::max(largest, layer.in_features() * layer.out_features());
   }
-  out.loss_sum += loss_value(a, y, loss) *
-                  static_cast<Real>(a.rows() * a.cols());
-  Matrix delta = loss_gradient(a, y, loss);
+  const std::size_t needed =
+      static_cast<std::size_t>(2 * rows * sum_out + 2 * rows * widest + largest);
+  if (out.workspace.size() < needed) {
+    out.workspace.resize(needed);
+  }
+  Real* const preacts = out.workspace.data();
+  Real* const acts = preacts + rows * sum_out;
+  Real* delta = acts + rows * sum_out;
+  Real* delta_next = delta + rows * widest;
+  Real* const wt = delta_next + rows * widest;
+
+  // Forward: layer l's z and σ(z) land at `offset` in their blocks.
+  const Real* const x_rows = x.data().data() + begin * config_.inputs;
+  const Real* in = x_rows;
+  Index offset = 0;
+  for (const DenseLayer& layer : layers_) {
+    layer.forward_rows(in, rows, preacts + offset, acts + offset);
+    in = acts + offset;
+    offset += rows * layer.out_features();
+  }
+
+  const std::size_t n = static_cast<std::size_t>(rows * config_.outputs);
+  const std::span<const Real> pred(in, n);
+  const std::span<const Real> target(
+      y.data().data() + begin * config_.outputs, n);
+  out.loss_sum += loss_value(pred, target, loss) * static_cast<Real>(n);
+  loss_gradient(pred, target, loss, std::span<Real>(delta, n));
   if (delta_scale != 1.0) {
-    for (Real& d : delta.data()) {
-      d *= delta_scale;
+    for (std::size_t i = 0; i < n; ++i) {
+      delta[i] *= delta_scale;
     }
   }
-  for (std::size_t l = n_layers; l-- > 0;) {
-    delta = layers_[l].backward_into(delta, inputs[l], preacts[l],
-                                     out.weight_grads[l], out.bias_grads[l]);
+
+  // Backward; layer 0's input gradient is never used, so it is skipped.
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    const DenseLayer& layer = layers_[l];
+    offset -= rows * layer.out_features();
+    const Real* layer_in =
+        l == 0 ? x_rows : acts + (offset - rows * layer.in_features());
+    layer.backward_rows(layer_in, preacts + offset, delta, rows,
+                        out.weight_grads[l].data().data(),
+                        out.bias_grads[l].data().data(),
+                        l == 0 ? nullptr : delta_next, wt);
+    std::swap(delta, delta_next);
   }
 }
 

@@ -46,28 +46,38 @@ class Mlp {
   /// Backpropagate dL/dŷ through the net, filling every layer's gradients.
   void backward(const Matrix& grad_output);
 
-  /// Per-worker gradient buffers for data-parallel training: one (dW, db)
-  /// pair per layer, zero-initialized to this model's shapes.
+  /// Per-chunk gradient buffers for data-parallel training: one (dW, db)
+  /// pair per layer, zero-initialized to this model's shapes, plus the
+  /// scratch accumulate_gradients() works in.
   struct GradientBuffers {
     std::vector<Matrix> weight_grads;
     std::vector<Matrix> bias_grads;
     /// Σ of per-element loss terms over the rows seen (un-normalized, so
     /// sub-batch sums combine exactly).
     Real loss_sum = 0.0;
+    /// Flat row-major scratch: every layer's pre-activations, every
+    /// layer's activations, two dL/dy ping-pong blocks and one Wᵀ block.
+    /// Grown to the largest sub-batch seen, then reused without
+    /// allocating.
+    std::vector<Real> workspace;
 
-    /// Re-zeroes the buffers for the next batch (shapes kept).
+    /// Re-zeroes the gradients and loss for the next batch (shapes and
+    /// workspace kept).
     void clear();
   };
   GradientBuffers make_gradient_buffers() const;
 
-  /// Forward + backward over the sub-batch (x, y) without touching any
-  /// member cache or gradient state — const, so several sub-batches can
-  /// run concurrently against the same weights. Accumulates (+=) into
-  /// `out`. `delta_scale` rescales the loss gradient (loss_gradient()
-  /// normalizes by the sub-batch element count; pass sub_elems/batch_elems
-  /// to recover gradients of the whole-batch mean).
-  void accumulate_gradients(const Matrix& x, const Matrix& y, Loss loss,
-                            Real delta_scale, GradientBuffers& out) const;
+  /// Forward + backward over rows [begin, end) of (x, y) without touching
+  /// any member cache or gradient state — const, so several sub-batches
+  /// can run concurrently against the same weights (each with its own
+  /// `out`). Accumulates (+=) into `out`. `delta_scale` rescales the loss
+  /// gradient (loss_gradient() normalizes by the sub-batch element count;
+  /// pass sub_elems/batch_elems to recover gradients of the whole-batch
+  /// mean). Runs DenseLayer::forward_rows()/backward_rows() layer by layer
+  /// in `out.workspace`.
+  void accumulate_gradients(const Matrix& x, const Matrix& y, Index begin,
+                            Index end, Loss loss, Real delta_scale,
+                            GradientBuffers& out) const;
 
   /// Adds `from`'s buffers into this model's gradient slots (+=). Called
   /// once per chunk in chunk-index order — the deterministic reduction

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/obs.hpp"
@@ -44,14 +45,27 @@ Matrix slice_rows(const Matrix& m, Index begin, Index end) {
   return out;
 }
 
-Matrix gather_rows(const Matrix& m, const std::vector<Index>& rows) {
-  Matrix out(static_cast<Index>(rows.size()), m.cols());
+namespace {
+
+/// Copies rows `rows` of m into the first rows.size() rows of `out`.
+void gather_rows_into(const Matrix& m, std::span<const Index> rows,
+                      Matrix& out) {
+  PPDL_REQUIRE(static_cast<Index>(rows.size()) <= out.rows() &&
+                   m.cols() == out.cols(),
+               "gather_rows: output shape mismatch");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     PPDL_REQUIRE(rows[i] >= 0 && rows[i] < m.rows(),
                  "gather_rows: index out of range");
     std::copy(m.row(rows[i]).begin(), m.row(rows[i]).end(),
               out.row(static_cast<Index>(i)).begin());
   }
+}
+
+}  // namespace
+
+Matrix gather_rows(const Matrix& m, const std::vector<Index>& rows) {
+  Matrix out(static_cast<Index>(rows.size()), m.cols());
+  gather_rows_into(m, rows, out);
   return out;
 }
 
@@ -142,6 +156,9 @@ TrainHistory train(Mlp& model, const Matrix& x, const Matrix& y,
   for (Index c = 0; c < max_chunks; ++c) {
     chunk_grads.push_back(model.make_gradient_buffers());
   }
+  // Each batch is gathered into these and its chunks read row ranges.
+  Matrix xb(max_batch_rows, x.cols());
+  Matrix yb(max_batch_rows, y.cols());
 
   for (Index epoch = 1; epoch <= options.epochs; ++epoch) {
     if (options.deadline.expired()) {
@@ -155,13 +172,13 @@ TrainHistory train(Mlp& model, const Matrix& x, const Matrix& y,
     Index batches = 0;
     bool epoch_diverged = false;
     for (Index start = 0; start < train_rows; start += options.batch_size) {
-      const Index stop = std::min(start + options.batch_size, train_rows);
-      std::vector<Index> batch(batch_order.begin() + start,
-                               batch_order.begin() + stop);
-      const Matrix xb = gather_rows(x_train, batch);
-      const Matrix yb = gather_rows(y_train, batch);
+      const Index rows = std::min(start + options.batch_size, train_rows) -
+                         start;
+      const std::span<const Index> batch(
+          batch_order.data() + start, static_cast<std::size_t>(rows));
+      gather_rows_into(x_train, batch, xb);
+      gather_rows_into(y_train, batch, yb);
 
-      const Index rows = xb.rows();
       const Index chunks = parallel::chunk_count(rows, kGradRowGrain);
       const Real batch_elems = static_cast<Real>(rows * yb.cols());
       for (Index c = 0; c < chunks; ++c) {
@@ -171,8 +188,7 @@ TrainHistory train(Mlp& model, const Matrix& x, const Matrix& y,
         const Index chunk = b / kGradRowGrain;
         const Real scale =
             static_cast<Real>((e - b) * yb.cols()) / batch_elems;
-        model.accumulate_gradients(slice_rows(xb, b, e), slice_rows(yb, b, e),
-                                   options.loss, scale,
+        model.accumulate_gradients(xb, yb, b, e, options.loss, scale,
                                    chunk_grads[static_cast<std::size_t>(chunk)]);
       });
       model.zero_gradients();

@@ -8,6 +8,7 @@
 // contract, not a tolerance.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "analysis/ir_solver.hpp"
@@ -193,6 +194,61 @@ TEST(Determinism, TrainedWeightsAcrossThreadCounts) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     expect_bitwise_equal(to_vector(ref[i].data()), to_vector(again[i].data()),
                          "trained parameter tensor repeat");
+  }
+}
+
+// FNV-1a over the bit patterns of every parameter, in layer order.
+U64 fnv1a_parameters(const std::vector<nn::Matrix>& params) {
+  U64 hash = 0xcbf29ce484222325ULL;
+  for (const nn::Matrix& m : params) {
+    for (const Real v : m.data()) {
+      U64 bits = std::bit_cast<U64>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= bits & 0xffU;
+        hash *= 0x100000001b3ULL;
+        bits >>= 8;
+      }
+    }
+  }
+  return hash;
+}
+
+// Pins the trained weights themselves, not just their agreement across
+// thread counts: any change to the training arithmetic (kernel order,
+// chunking, combine order, optimizer) shows up here. The expected hash was
+// produced by commit 63e0c68 ("Fuse MLP inference into one row-block
+// kernel"), before training moved onto the row-block kernels.
+TEST(Determinism, TrainedWeightsPinnedChecksum) {
+  ThreadGuard guard;
+  // 1000 rows, 10 % validation: 900 training rows in batches of 128, so
+  // the last batch (4 rows) and its only chunk are partial.
+  const Index rows = 1000;
+  nn::Matrix x(rows, 3);
+  nn::Matrix y(rows, 1);
+  Rng rng(2024);
+  for (Index r = 0; r < rows; ++r) {
+    const Real a = rng.uniform(-1.0, 1.0);
+    const Real b = rng.uniform(-1.0, 1.0);
+    const Real c = rng.uniform(0.0, 2.0);
+    x(r, 0) = a;
+    x(r, 1) = b;
+    x(r, 2) = c;
+    y(r, 0) = 0.5 * a - 1.5 * b * b + 0.25 * c * a;
+  }
+
+  for (const Index threads : {Index{1}, Index{2}}) {
+    parallel::set_num_threads(threads);
+    Rng init(7);
+    nn::Mlp model(nn::MlpConfig::paper_default(3, 1, 10, 16), init);
+    nn::TrainOptions opts;
+    opts.epochs = 4;
+    opts.batch_size = 128;
+    opts.early_stopping_patience = 0;
+    const nn::TrainHistory history = nn::train(model, x, y, opts);
+    ASSERT_EQ(history.epochs_run, 4);
+    EXPECT_EQ(fnv1a_parameters(model.snapshot_parameters()),
+              0x147c778d820e1e8bULL)
+        << "threads=" << threads;
   }
 }
 

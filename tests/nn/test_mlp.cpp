@@ -5,11 +5,13 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
+#include "nn/trainer.hpp"
 
 namespace ppdl::nn {
 namespace {
@@ -150,6 +152,137 @@ TEST(Mlp, PredictBitIdenticalToLayerByLayerReference) {
                                std::to_string(width) + " outputs " +
                                std::to_string(outputs) + " rows " +
                                std::to_string(rows));
+        }
+      }
+    }
+  }
+}
+
+// Matrix-level reference of accumulate_gradients: forward with multiply +
+// bias + apply_activation; backward with activation_gradient, a
+// zero-skipping xᵀδ loop, row-ascending bias sums and
+// multiply(transposed()) — the arithmetic the row kernels must reproduce
+// bit for bit.
+void reference_accumulate(const Mlp& mlp, const Matrix& x, const Matrix& y,
+                          Loss loss, Real delta_scale,
+                          Mlp::GradientBuffers& out) {
+  std::vector<Matrix> inputs;
+  std::vector<Matrix> preacts;
+  Matrix h = x;
+  for (Index l = 0; l < mlp.layer_count(); ++l) {
+    const DenseLayer& layer = mlp.layer(l);
+    Matrix z = h.multiply(layer.weights());
+    for (Index r = 0; r < z.rows(); ++r) {
+      for (Index c = 0; c < z.cols(); ++c) {
+        z(r, c) += layer.bias()(0, c);
+      }
+    }
+    inputs.push_back(h);
+    preacts.push_back(z);
+    apply_activation(z, layer.activation());
+    h = std::move(z);
+  }
+  out.loss_sum +=
+      loss_value(h, y, loss) * static_cast<Real>(h.rows() * h.cols());
+  Matrix grad = loss_gradient(h, y, loss);
+  for (Real& g : grad.data()) {
+    g *= delta_scale;
+  }
+  for (Index l = mlp.layer_count(); l-- > 0;) {
+    const DenseLayer& layer = mlp.layer(l);
+    Matrix delta = activation_gradient(preacts[l], layer.activation());
+    for (std::size_t i = 0; i < delta.data().size(); ++i) {
+      delta.data()[i] *= grad.data()[i];
+    }
+    const Matrix& in = inputs[static_cast<std::size_t>(l)];
+    Matrix& gw = out.weight_grads[static_cast<std::size_t>(l)];
+    for (Index r = 0; r < in.rows(); ++r) {
+      for (Index i = 0; i < gw.rows(); ++i) {
+        const Real xi = in(r, i);
+        if (xi == 0.0) {
+          continue;
+        }
+        for (Index j = 0; j < gw.cols(); ++j) {
+          gw(i, j) += xi * delta(r, j);
+        }
+      }
+    }
+    Matrix& gb = out.bias_grads[static_cast<std::size_t>(l)];
+    for (Index c = 0; c < gb.cols(); ++c) {
+      Real acc = 0.0;
+      for (Index r = 0; r < delta.rows(); ++r) {
+        acc += delta(r, c);
+      }
+      gb(0, c) += acc;
+    }
+    grad = delta.multiply(layer.weights().transposed());
+  }
+}
+
+TEST(Mlp, AccumulateGradientsBitIdenticalToReference) {
+  const Activation kinds[] = {Activation::kIdentity, Activation::kRelu,
+                              Activation::kLeakyRelu, Activation::kTanh,
+                              Activation::kSigmoid};
+  const Loss losses[] = {Loss::kMse, Loss::kMae, Loss::kHuber};
+  const Index row_counts[] = {1, 2, 3, 15, 16, 17, 33};
+  const Index widths[] = {1, 3, 8, 9, 16, 17};
+  constexpr Index kShift = 5;  // second call's row offset
+  U64 seed = 500;
+  for (const Activation act : kinds) {
+    for (const Index width : widths) {
+      for (const Loss loss : losses) {
+        MlpConfig c;
+        c.inputs = 3;
+        c.outputs = 2;
+        c.hidden = {width, width};
+        c.hidden_activation = act;
+        c.output_activation = act;
+        Rng rng(++seed);
+        Mlp mlp(c, rng);
+        for (Index l = 0; l < mlp.layer_count(); ++l) {
+          for (Real& b : mlp.layer(l).bias().data()) {
+            b = rng.uniform(-0.5, 0.5);
+          }
+        }
+        for (const Index rows : row_counts) {
+          Matrix x(rows + kShift, c.inputs);
+          Matrix y(rows + kShift, c.outputs);
+          for (Real& v : x.data()) {
+            v = rng.normal();
+          }
+          for (Real& v : y.data()) {
+            v = rng.normal();
+          }
+          // Exact zeros of both signs take the xᵀδ zero-skip path.
+          for (Index r = 0; r < x.rows(); r += 2) {
+            x(r, r % c.inputs) = (r % 4 == 0) ? 0.0 : -0.0;
+          }
+          const Real scale = rows % 2 == 0 ? 1.0 : 0.375;
+          Mlp::GradientBuffers want = mlp.make_gradient_buffers();
+          Mlp::GradientBuffers got = mlp.make_gradient_buffers();
+          // Two accumulations into the same buffers cover the +=, the
+          // second over a shifted row range.
+          for (const Index begin : {Index{0}, kShift}) {
+            reference_accumulate(mlp, slice_rows(x, begin, begin + rows),
+                                 slice_rows(y, begin, begin + rows), loss,
+                                 scale, want);
+            mlp.accumulate_gradients(x, y, begin, begin + rows, loss, scale,
+                                     got);
+          }
+          const std::string what = "act " + to_string(act) + " width " +
+                                   std::to_string(width) + " loss " +
+                                   to_string(loss) + " rows " +
+                                   std::to_string(rows);
+          for (Index l = 0; l < mlp.layer_count(); ++l) {
+            const auto i = static_cast<std::size_t>(l);
+            expect_same_bits(want.weight_grads[i], got.weight_grads[i],
+                             what + " dW layer " + std::to_string(l));
+            expect_same_bits(want.bias_grads[i], got.bias_grads[i],
+                             what + " db layer " + std::to_string(l));
+          }
+          EXPECT_EQ(std::bit_cast<U64>(want.loss_sum),
+                    std::bit_cast<U64>(got.loss_sum))
+              << what;
         }
       }
     }
