@@ -10,9 +10,12 @@
 #include "analysis/ir_solver.hpp"
 #include "analysis/mna.hpp"
 #include "bench_support.hpp"
+#include "common/parallel.hpp"
 #include "core/benchmarks.hpp"
 #include "core/ir_predictor.hpp"
 #include "grid/generator.hpp"
+#include "linalg/cholesky.hpp"
+#include "linalg/ordering.hpp"
 #include "linalg/vector_ops.hpp"
 
 using namespace ppdl;
@@ -90,6 +93,48 @@ BENCHMARK(BM_KirchhoffPredict)
     ->Arg(10)
     ->Arg(20)
     ->Arg(40)
+    ->Unit(benchmark::kMillisecond);
+
+/// Restores the default thread count when a benchmark run ends.
+struct ThreadCount {
+  explicit ThreadCount(Index threads) { parallel::set_num_threads(threads); }
+  ~ThreadCount() { parallel::set_num_threads(0); }
+};
+
+/// Nested-dissection ordering of the reduced MNA matrix (the resident
+/// solver's cold build), args: scale in thousandths, threads.
+void BM_NdOrdering(benchmark::State& state) {
+  const grid::GeneratedBenchmark& bench = cached_bench(state.range(0));
+  const analysis::MnaSystem sys = analysis::assemble_mna(bench.grid);
+  const ThreadCount threads(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::nd_ordering(sys.g_reduced));
+  }
+  state.SetLabel(std::to_string(sys.free_count) + " unknowns");
+}
+BENCHMARK(BM_NdOrdering)
+    ->ArgsProduct({{40, 100, 200}, {1, 2}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Drop-tolerance (τ = 1e-3) sparse Cholesky of the ND-permuted reduced
+/// MNA matrix — the frozen preconditioner's build; args as BM_NdOrdering.
+void BM_SparseCholeskyFactor(benchmark::State& state) {
+  const grid::GeneratedBenchmark& bench = cached_bench(state.range(0));
+  const analysis::MnaSystem sys = analysis::assemble_mna(bench.grid);
+  const std::vector<Index> perm = linalg::nd_ordering(sys.g_reduced);
+  const ThreadCount threads(state.range(1));
+  Index nnz = 0;
+  for (auto _ : state) {
+    const linalg::SparseCholesky chol(sys.g_reduced, perm, 1e-3);
+    nnz = chol.factor_nnz();
+  }
+  state.SetLabel(std::to_string(sys.free_count) + " unknowns, nnz(L) " +
+                 std::to_string(nnz));
+}
+BENCHMARK(BM_SparseCholeskyFactor)
+    ->ArgsProduct({{40, 100, 200}, {1, 2}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Thread-scaling trajectory over the parallel solver hot paths →

@@ -1,8 +1,7 @@
 #include "grid/validate.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
-#include <queue>
 #include <sstream>
 #include <utility>
 
@@ -27,29 +26,99 @@ void add_defect(GridValidationReport& report, GridDefect defect) {
   report.defects.push_back(std::move(defect));
 }
 
-/// Pad-reachability BFS over the branch graph.
-std::vector<bool> reachable_from_pads(const PowerGrid& pg) {
-  std::vector<std::vector<Index>> adj(
-      static_cast<std::size_t>(pg.node_count()));
-  for (const Branch& b : pg.branches()) {
-    adj[static_cast<std::size_t>(b.n1)].push_back(b.n2);
-    adj[static_cast<std::size_t>(b.n2)].push_back(b.n1);
+/// Node → incident-branch adjacency in CSR form: node v's branches are
+/// entries [ptr[v], ptr[v+1]), in ascending branch order, each with the
+/// node at its other end. Built in O(nodes + branches) with one counting
+/// pass, no per-node allocation.
+struct BranchAdjacency {
+  std::vector<Index> ptr;
+  std::vector<Index> nbr;
+  std::vector<Index> branch;
+
+  Index degree(Index v) const {
+    return ptr[static_cast<std::size_t>(v) + 1] -
+           ptr[static_cast<std::size_t>(v)];
   }
+};
+
+BranchAdjacency build_adjacency(const PowerGrid& pg) {
+  const auto n = static_cast<std::size_t>(pg.node_count());
+  BranchAdjacency adj;
+  adj.ptr.assign(n + 1, 0);
+  for (const Branch& b : pg.branches()) {
+    ++adj.ptr[static_cast<std::size_t>(b.n1) + 1];
+    ++adj.ptr[static_cast<std::size_t>(b.n2) + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    adj.ptr[v + 1] += adj.ptr[v];
+  }
+  adj.nbr.resize(static_cast<std::size_t>(adj.ptr[n]));
+  adj.branch.resize(adj.nbr.size());
+  std::vector<Index> cursor(adj.ptr.begin(), adj.ptr.end() - 1);
+  for (Index bi = 0; bi < pg.branch_count(); ++bi) {
+    const Branch& b = pg.branch(bi);
+    const auto k1 =
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(b.n1)]++);
+    adj.nbr[k1] = b.n2;
+    adj.branch[k1] = bi;
+    const auto k2 =
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(b.n2)]++);
+    adj.nbr[k2] = b.n1;
+    adj.branch[k2] = bi;
+  }
+  return adj;
+}
+
+/// first[bi] = the lowest-numbered branch joining the same unordered node
+/// pair as branch bi (bi itself unless bi is a duplicate). Each pair is
+/// scanned from its smaller endpoint; a per-node stamp remembers the first
+/// branch met towards each neighbour, and adjacency lists are in branch
+/// order, so "first met" is "lowest index".
+std::vector<Index> first_branch_of_pair(const PowerGrid& pg,
+                                        const BranchAdjacency& adj) {
+  const auto n = static_cast<std::size_t>(pg.node_count());
+  std::vector<Index> first(static_cast<std::size_t>(pg.branch_count()));
+  std::vector<Index> seen_from(n, -1);
+  std::vector<Index> seen_branch(n, -1);
+  for (Index v = 0; v < pg.node_count(); ++v) {
+    for (Index k = adj.ptr[static_cast<std::size_t>(v)];
+         k < adj.ptr[static_cast<std::size_t>(v) + 1]; ++k) {
+      const Index u = adj.nbr[static_cast<std::size_t>(k)];
+      const Index bi = adj.branch[static_cast<std::size_t>(k)];
+      if (u < v) {
+        continue;  // scanned from the smaller endpoint
+      }
+      const auto uu = static_cast<std::size_t>(u);
+      if (seen_from[uu] != v) {
+        seen_from[uu] = v;
+        seen_branch[uu] = bi;
+      }
+      first[static_cast<std::size_t>(bi)] = seen_branch[uu];
+    }
+  }
+  return first;
+}
+
+/// Pad-reachability BFS over the branch graph.
+std::vector<bool> reachable_from_pads(const PowerGrid& pg,
+                                      const BranchAdjacency& adj) {
   std::vector<bool> reach(static_cast<std::size_t>(pg.node_count()), false);
-  std::queue<Index> queue;
+  std::vector<Index> queue;
+  queue.reserve(static_cast<std::size_t>(pg.node_count()));
   for (const Pad& pad : pg.pads()) {
     if (!reach[static_cast<std::size_t>(pad.node)]) {
       reach[static_cast<std::size_t>(pad.node)] = true;
-      queue.push(pad.node);
+      queue.push_back(pad.node);
     }
   }
-  while (!queue.empty()) {
-    const Index v = queue.front();
-    queue.pop();
-    for (const Index u : adj[static_cast<std::size_t>(v)]) {
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Index v = queue[head];
+    for (Index k = adj.ptr[static_cast<std::size_t>(v)];
+         k < adj.ptr[static_cast<std::size_t>(v) + 1]; ++k) {
+      const Index u = adj.nbr[static_cast<std::size_t>(k)];
       if (!reach[static_cast<std::size_t>(u)]) {
         reach[static_cast<std::size_t>(u)] = true;
-        queue.push(u);
+        queue.push_back(u);
       }
     }
   }
@@ -135,15 +204,22 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
                         -1, "no supply pad pins any voltage"});
   }
 
-  // Conflicting pad voltages on a shared node.
+  // Conflicting pad voltages on a shared node (each pad is compared with
+  // the first pad bonded to its node).
   {
-    std::map<Index, Real> pinned;
+    std::vector<Index> first_pad(static_cast<std::size_t>(pg.node_count()),
+                                 -1);
     for (std::size_t p = 0; p < pg.pads().size(); ++p) {
       const Pad& pad = pg.pads()[p];
-      const auto [it, inserted] = pinned.emplace(pad.node, pad.voltage);
-      if (!inserted && std::abs(it->second - pad.voltage) > 1e-12) {
+      Index& first = first_pad[static_cast<std::size_t>(pad.node)];
+      if (first < 0) {
+        first = static_cast<Index>(p);
+        continue;
+      }
+      const Real pinned = pg.pads()[static_cast<std::size_t>(first)].voltage;
+      if (std::abs(pinned - pad.voltage) > 1e-12) {
         std::ostringstream os;
-        os << it->second << " V vs " << pad.voltage << " V";
+        os << pinned << " V vs " << pad.voltage << " V";
         add_defect(report,
                    {GridDefectKind::kConflictingPadVoltages,
                     DefectSeverity::kFatal, pad.node, -1, os.str()});
@@ -151,10 +227,10 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
     }
   }
 
-  // Branch conductances and duplicate detection.
-  std::map<std::pair<Index, Index>, Index> first_branch_of_pair;
+  // Branch conductances and duplicate detection, in branch order.
+  const BranchAdjacency adj = build_adjacency(pg);
+  const std::vector<Index> first_of_pair = first_branch_of_pair(pg, adj);
   for (Index bi = 0; bi < pg.branch_count(); ++bi) {
-    const Branch& b = pg.branch(bi);
     const Real resistance = pg.branch_resistance(bi);
     if (!std::isfinite(resistance) || resistance <= 0.0) {
       std::ostringstream os;
@@ -163,12 +239,10 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
                  {GridDefectKind::kNonPositiveConductance,
                   DefectSeverity::kFatal, -1, bi, os.str()});
     }
-    const std::pair<Index, Index> key{std::min(b.n1, b.n2),
-                                      std::max(b.n1, b.n2)};
-    const auto [it, inserted] = first_branch_of_pair.emplace(key, bi);
-    if (!inserted) {
+    const Index first = first_of_pair[static_cast<std::size_t>(bi)];
+    if (first != bi) {
       std::ostringstream os;
-      os << "parallel with branch " << it->second;
+      os << "parallel with branch " << first;
       add_defect(report,
                  {GridDefectKind::kDuplicateBranch, DefectSeverity::kWarning,
                   -1, bi, os.str()});
@@ -191,12 +265,7 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
   // Connectivity: every free node must reach a pad or its MNA row/column is
   // singular (a zero-conductance row for isolated nodes, a padless block
   // otherwise).
-  std::vector<Index> degree(static_cast<std::size_t>(pg.node_count()), 0);
-  for (const Branch& b : pg.branches()) {
-    ++degree[static_cast<std::size_t>(b.n1)];
-    ++degree[static_cast<std::size_t>(b.n2)];
-  }
-  const std::vector<bool> reach = reachable_from_pads(pg);
+  const std::vector<bool> reach = reachable_from_pads(pg, adj);
   for (Index v = 0; v < pg.node_count(); ++v) {
     const auto vu = static_cast<std::size_t>(v);
     if (reach[vu]) {
@@ -206,7 +275,7 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
       add_defect(report,
                  {GridDefectKind::kUnreachableLoad, DefectSeverity::kFatal, v,
                   -1, "load has no path to any pad — MNA system is singular"});
-    } else if (degree[vu] == 0) {
+    } else if (adj.degree(v) == 0) {
       add_defect(report,
                  {GridDefectKind::kIsolatedNode, DefectSeverity::kRepairable,
                   v, -1, "node has no branches (zero conductance row)"});
@@ -222,7 +291,7 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
   // (the BFS starts there) and harmless to MNA (pad nodes are eliminated),
   // but the bump delivers no current — a packaging defect worth surfacing.
   for (const Pad& pad : pg.pads()) {
-    if (degree[static_cast<std::size_t>(pad.node)] == 0) {
+    if (adj.degree(pad.node) == 0) {
       add_defect(report,
                  {GridDefectKind::kDanglingPad, DefectSeverity::kWarning,
                   pad.node, -1, "supply pad bonded to a branchless node"});
@@ -239,7 +308,8 @@ PowerGrid repaired_copy(const PowerGrid& pg,
     }
   };
 
-  const std::vector<bool> reach = reachable_from_pads(pg);
+  const BranchAdjacency adj = build_adjacency(pg);
+  const std::vector<bool> reach = reachable_from_pads(pg, adj);
   std::vector<bool> has_load(static_cast<std::size_t>(pg.node_count()),
                              false);
   for (const CurrentLoad& load : pg.loads()) {
@@ -268,38 +338,53 @@ PowerGrid repaired_copy(const PowerGrid& pg,
   }
 
   // Merge duplicate branches in parallel: keep the first branch of each
-  // unordered endpoint pair, folding the others' conductance into it.
-  std::map<std::pair<Index, Index>, Real> pair_conductance;
-  std::map<std::pair<Index, Index>, Index> pair_first;
+  // unordered endpoint pair, folding the others' conductance into it in
+  // branch order.
+  const std::vector<Index> first_of_pair = first_branch_of_pair(pg, adj);
+  std::vector<Real> pair_conductance(
+      static_cast<std::size_t>(pg.branch_count()), 0.0);
   for (Index bi = 0; bi < pg.branch_count(); ++bi) {
-    const Branch& b = pg.branch(bi);
-    const std::pair<Index, Index> key{std::min(b.n1, b.n2),
-                                      std::max(b.n1, b.n2)};
-    pair_conductance[key] += 1.0 / pg.branch_resistance(bi);
-    const auto [it, inserted] = pair_first.emplace(key, bi);
-    if (!inserted) {
+    const Index first = first_of_pair[static_cast<std::size_t>(bi)];
+    pair_conductance[static_cast<std::size_t>(first)] +=
+        1.0 / pg.branch_resistance(bi);
+    if (first != bi) {
       std::ostringstream os;
-      os << "merged duplicate branch " << bi << " into branch " << it->second
+      os << "merged duplicate branch " << bi << " into branch " << first
          << " (parallel conductance)";
       note(os.str());
     }
   }
-  for (const auto& [key, first_bi] : pair_first) {
-    const Branch& b = pg.branch(first_bi);
-    const Index n1 = new_id[static_cast<std::size_t>(b.n1)];
-    const Index n2 = new_id[static_cast<std::size_t>(b.n2)];
-    if (n1 < 0 || n2 < 0) {
-      continue;  // endpoint dropped with its unreachable component
+  // Emit one branch per pair in (smaller endpoint, larger endpoint) order.
+  std::vector<std::pair<Index, Index>> pairs;  // (larger endpoint, branch)
+  for (Index v = 0; v < pg.node_count(); ++v) {
+    pairs.clear();
+    for (Index k = adj.ptr[static_cast<std::size_t>(v)];
+         k < adj.ptr[static_cast<std::size_t>(v) + 1]; ++k) {
+      const Index u = adj.nbr[static_cast<std::size_t>(k)];
+      const Index bi = adj.branch[static_cast<std::size_t>(k)];
+      if (u >= v && first_of_pair[static_cast<std::size_t>(bi)] == bi) {
+        pairs.emplace_back(u, bi);
+      }
     }
-    const Real merged_resistance = 1.0 / pair_conductance[key];
-    if (b.kind == BranchKind::kWire) {
-      // g ∝ width at fixed geometry, so the parallel merge is a width sum:
-      // w = ρ·l / R_parallel.
-      const Real rho = pg.layer(b.layer).sheet_rho;
-      out.add_wire(n1, n2, b.layer, b.length,
-                   rho * b.length / merged_resistance);
-    } else {
-      out.add_via(n1, n2, b.layer, merged_resistance);
+    std::sort(pairs.begin(), pairs.end());
+    for (const auto& [u, first_bi] : pairs) {
+      const Branch& b = pg.branch(first_bi);
+      const Index n1 = new_id[static_cast<std::size_t>(b.n1)];
+      const Index n2 = new_id[static_cast<std::size_t>(b.n2)];
+      if (n1 < 0 || n2 < 0) {
+        continue;  // endpoint dropped with its unreachable component
+      }
+      const Real merged_resistance =
+          1.0 / pair_conductance[static_cast<std::size_t>(first_bi)];
+      if (b.kind == BranchKind::kWire) {
+        // g ∝ width at fixed geometry, so the parallel merge is a width
+        // sum: w = ρ·l / R_parallel.
+        const Real rho = pg.layer(b.layer).sheet_rho;
+        out.add_wire(n1, n2, b.layer, b.length,
+                     rho * b.length / merged_resistance);
+      } else {
+        out.add_via(n1, n2, b.layer, merged_resistance);
+      }
     }
   }
 

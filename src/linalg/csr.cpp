@@ -8,6 +8,43 @@
 
 namespace ppdl::linalg {
 
+namespace {
+
+/// Stable sort of one row's (column, value) entries by column. Grid rows
+/// hold a handful of entries, where an in-place insertion sort beats
+/// std::stable_sort (which allocates a buffer on every call); long rows
+/// take the buffered sort.
+void sort_row_stable(Index* cols, Real* vals, std::size_t len) {
+  constexpr std::size_t kInsertionMax = 32;
+  if (len <= kInsertionMax) {
+    for (std::size_t i = 1; i < len; ++i) {
+      const Index c = cols[i];
+      const Real v = vals[i];
+      std::size_t j = i;
+      for (; j > 0 && cols[j - 1] > c; --j) {
+        cols[j] = cols[j - 1];
+        vals[j] = vals[j - 1];
+      }
+      cols[j] = c;
+      vals[j] = v;
+    }
+    return;
+  }
+  std::vector<std::pair<Index, Real>> buf(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    buf[k] = {cols[k], vals[k]};
+  }
+  std::stable_sort(buf.begin(), buf.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  for (std::size_t k = 0; k < len; ++k) {
+    cols[k] = buf[k].first;
+    vals[k] = buf[k].second;
+  }
+}
+
+}  // namespace
+
 CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo) {
   CsrMatrix m;
   m.rows_ = coo.rows();
@@ -33,37 +70,35 @@ CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo) {
     val_raw[pos] = t.value;
   }
 
-  // Sort each row by column and merge duplicates.
+  // Sort each row bucket by column in place and fold duplicates, writing
+  // the compacted rows over the buckets (the write cursor never passes the
+  // read cursor). The sort is stable, so duplicate (row, col) entries are
+  // summed by a left fold in insertion order. Callers that re-sum a slot
+  // incrementally (IncrementalIrSolver) replay the same insertion-ordered
+  // fold and land on the bit-identical value.
   m.row_ptr_.assign(n_rows + 1, 0);
-  m.col_idx_.reserve(coo.entries().size());
-  m.values_.reserve(coo.entries().size());
-  std::vector<std::pair<Index, Real>> row_buf;
+  std::size_t out = 0;
   for (std::size_t r = 0; r < n_rows; ++r) {
-    row_buf.clear();
-    for (Index k = counts[r]; k < counts[r + 1]; ++k) {
-      const auto ku = static_cast<std::size_t>(k);
-      row_buf.emplace_back(col_raw[ku], val_raw[ku]);
-    }
-    // stable_sort keeps duplicate (row, col) entries in insertion order, so
-    // the left-fold merge below sums them in a well-defined order. Callers
-    // that re-sum a slot incrementally (IncrementalIrSolver) replay the same
-    // insertion-ordered fold and land on the bit-identical value.
-    std::stable_sort(
-        row_buf.begin(), row_buf.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t k = 0; k < row_buf.size(); ++k) {
-      if (!m.col_idx_.empty() &&
-          m.row_ptr_[r] < static_cast<Index>(m.col_idx_.size()) &&
-          m.col_idx_.back() == row_buf[k].first &&
-          static_cast<Index>(m.col_idx_.size()) > m.row_ptr_[r]) {
-        m.values_.back() += row_buf[k].second;
+    const auto begin = static_cast<std::size_t>(counts[r]);
+    const auto end = static_cast<std::size_t>(counts[r + 1]);
+    sort_row_stable(col_raw.data() + begin, val_raw.data() + begin,
+                    end - begin);
+    const std::size_t row_start = out;
+    for (std::size_t k = begin; k < end; ++k) {
+      if (out > row_start && col_raw[out - 1] == col_raw[k]) {
+        val_raw[out - 1] += val_raw[k];
       } else {
-        m.col_idx_.push_back(row_buf[k].first);
-        m.values_.push_back(row_buf[k].second);
+        col_raw[out] = col_raw[k];
+        val_raw[out] = val_raw[k];
+        ++out;
       }
     }
-    m.row_ptr_[r + 1] = static_cast<Index>(m.col_idx_.size());
+    m.row_ptr_[r + 1] = static_cast<Index>(out);
   }
+  col_raw.resize(out);
+  val_raw.resize(out);
+  m.col_idx_ = std::move(col_raw);
+  m.values_ = std::move(val_raw);
   return m;
 }
 
@@ -163,18 +198,40 @@ CsrMatrix CsrMatrix::permuted_symmetric(std::span<const Index> perm) const {
   PPDL_REQUIRE(rows_ == cols_, "symmetric permutation needs a square matrix");
   PPDL_REQUIRE(static_cast<Index>(perm.size()) == rows_,
                "permutation size mismatch");
-  CooMatrix coo(rows_, cols_);
-  coo.reserve(nnz());
-  for (Index r = 0; r < rows_; ++r) {
-    const Index begin = row_ptr_[static_cast<std::size_t>(r)];
-    const Index end = row_ptr_[static_cast<std::size_t>(r) + 1];
-    for (Index k = begin; k < end; ++k) {
-      const auto ku = static_cast<std::size_t>(k);
-      coo.add(perm[static_cast<std::size_t>(r)],
-              perm[static_cast<std::size_t>(col_idx_[ku])], values_[ku]);
-    }
+  // Old row r becomes new row perm[r] with every column relabelled; a
+  // bijective perm maps distinct columns to distinct columns, so each new
+  // row only needs its (short) column sort — nothing to fold.
+  const auto n = static_cast<std::size_t>(rows_);
+  std::vector<Index> old_of_new(n, -1);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Index p = perm[r];
+    PPDL_REQUIRE(p >= 0 && p < rows_ &&
+                     old_of_new[static_cast<std::size_t>(p)] < 0,
+                 "symmetric permutation must be a bijection");
+    old_of_new[static_cast<std::size_t>(p)] = static_cast<Index>(r);
   }
-  return from_coo(coo);
+  CsrMatrix m;
+  m.rows_ = rows_;
+  m.cols_ = cols_;
+  m.row_ptr_.assign(n + 1, 0);
+  m.col_idx_.resize(col_idx_.size());
+  m.values_.resize(values_.size());
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto r = static_cast<std::size_t>(old_of_new[p]);
+    const Index begin = row_ptr_[r];
+    const Index len = row_ptr_[r + 1] - begin;
+    const Index out = m.row_ptr_[p];
+    for (Index k = 0; k < len; ++k) {
+      const auto src = static_cast<std::size_t>(begin + k);
+      const auto dst = static_cast<std::size_t>(out + k);
+      m.col_idx_[dst] = perm[static_cast<std::size_t>(col_idx_[src])];
+      m.values_[dst] = values_[src];
+    }
+    sort_row_stable(m.col_idx_.data() + out, m.values_.data() + out,
+                    static_cast<std::size_t>(len));
+    m.row_ptr_[p + 1] = out + len;
+  }
+  return m;
 }
 
 CsrMatrix CsrMatrix::with_shifted_diagonal(Real shift) const {

@@ -24,7 +24,21 @@ std::vector<Index> rcm_ordering(const CsrMatrix& a);
 /// backsolve beats a CG solve and one that loses to it (see
 /// analysis::IncrementalIrSolver). Falls back to BFS ordering on subgraphs
 /// below the dissection cutoff.
-std::vector<Index> nd_ordering(const CsrMatrix& a);
+///
+/// Runs on the thread pool below its first few splits; the result is the
+/// same for any thread count. `splits`, when given, receives every split
+/// made (in a deterministic order).
+struct NdSplit {
+  // New-index ranges: part A is [begin, b_begin), part B is
+  // [b_begin, separator_begin), the separator is [separator_begin, end).
+  // No matrix entry joins part A and part B.
+  Index begin = 0;
+  Index b_begin = 0;
+  Index separator_begin = 0;
+  Index end = 0;
+};
+std::vector<Index> nd_ordering(const CsrMatrix& a,
+                               std::vector<NdSplit>* splits = nullptr);
 
 /// Half-bandwidth of the matrix: max |i - j| over stored entries.
 Index bandwidth(const CsrMatrix& a);

@@ -8,6 +8,7 @@
 // contract, not a tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "core/flow.hpp"
 #include "core/golden.hpp"
 #include "core/ppdl_model.hpp"
+#include "linalg/cholesky.hpp"
+#include "linalg/ordering.hpp"
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
 #include "planner/conventional_planner.hpp"
@@ -365,6 +368,68 @@ TEST(Determinism, LayerModelFitAcrossThreadCounts) {
     expect_bitwise_equal(ref, predict_at(threads), "predicted widths");
   }
   expect_bitwise_equal(ref, predict_at(8), "predicted widths repeat");
+}
+
+
+// Nested dissection runs its subtasks as pool chunks (the subtask set is
+// fixed by the matrix structure); the permutation and the splits must not
+// depend on the thread count.
+TEST(Determinism, NestedDissectionAcrossThreadCounts) {
+  ThreadGuard guard;
+  const linalg::CsrMatrix a =
+      testsupport::replica_mna_matrix("ibmpg2", 0.05, 7);
+
+  const auto order_at = [&](Index threads,
+                            std::vector<linalg::NdSplit>& splits) {
+    parallel::set_num_threads(threads);
+    return linalg::nd_ordering(a, &splits);
+  };
+
+  std::vector<linalg::NdSplit> ref_splits;
+  const std::vector<Index> ref = order_at(1, ref_splits);
+  for (const Index threads : kThreadCounts) {
+    std::vector<linalg::NdSplit> splits;
+    ASSERT_EQ(order_at(threads, splits), ref) << "threads=" << threads;
+    ASSERT_EQ(splits.size(), ref_splits.size()) << "threads=" << threads;
+    for (std::size_t k = 0; k < splits.size(); ++k) {
+      EXPECT_EQ(splits[k].begin, ref_splits[k].begin);
+      EXPECT_EQ(splits[k].b_begin, ref_splits[k].b_begin);
+      EXPECT_EQ(splits[k].separator_begin, ref_splits[k].separator_begin);
+      EXPECT_EQ(splits[k].end, ref_splits[k].end);
+    }
+  }
+}
+
+// The factorization builds etree subtrees as pool chunks and the top rows
+// serially; the factor must equal the serial one exactly.
+TEST(Determinism, SparseCholeskyFactorAcrossThreadCounts) {
+  ThreadGuard guard;
+  const linalg::CsrMatrix a =
+      testsupport::replica_mna_matrix("ibmpg2", 0.1, 7);
+  const std::vector<Index> perm = linalg::nd_ordering(a);
+
+  for (const Real tau : {0.0, 1e-3}) {
+    const auto factor_at = [&](Index threads) {
+      parallel::set_num_threads(threads);
+      return linalg::SparseCholesky(a, perm, tau);
+    };
+    const linalg::SparseCholesky ref = factor_at(1);
+    for (const Index threads : kThreadCounts) {
+      const linalg::SparseCholesky got = factor_at(threads);
+      const auto row_ptr = got.factor_row_ptr();
+      const auto col_idx = got.factor_col_idx();
+      ASSERT_TRUE(std::equal(row_ptr.begin(), row_ptr.end(),
+                             ref.factor_row_ptr().begin(),
+                             ref.factor_row_ptr().end()))
+          << "row_ptr, tau=" << tau << " threads=" << threads;
+      ASSERT_TRUE(std::equal(col_idx.begin(), col_idx.end(),
+                             ref.factor_col_idx().begin(),
+                             ref.factor_col_idx().end()))
+          << "col_idx, tau=" << tau << " threads=" << threads;
+      expect_bitwise_equal(to_vector(ref.factor_values()),
+                           to_vector(got.factor_values()), "factor values");
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/ordering.hpp"
 #include "linalg/vector_ops.hpp"
+#include "support/checksum.hpp"
+#include "support/fixtures.hpp"
 
 namespace ppdl::linalg {
 namespace {
@@ -172,6 +175,43 @@ TEST(SparseCholesky, ReusableForMultipleRhs) {
     const std::vector<Real> x = chol.solve(b);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_NEAR(x[i], x_true[i], 1e-9);
+    }
+  }
+}
+
+// Pins the factor itself, exact (τ = 0) and incomplete (τ = 1e-3, the
+// resident solver's preconditioner), at one thread (serial row loop) and
+// two (etree subtrees on the pool): any change to the pattern enumeration,
+// the substitution order, dropping, or the subtree assembly shows up here.
+// The expected hashes were produced by commit 237d134 ("Run MLP training on
+// allocation-free row-block kernels"), the serial, sort-based
+// implementation.
+TEST(SparseCholesky, FactorPinnedChecksum) {
+  struct ThreadGuard {
+    ~ThreadGuard() { parallel::set_num_threads(0); }
+  } guard;
+  const CsrMatrix a = testsupport::replica_mna_matrix("ibmpg2", 0.1, 7);
+  const std::vector<Index> perm = nd_ordering(a);
+  struct Pinned {
+    Real tau;
+    U64 row_ptr;
+    U64 col_idx;
+    U64 values;
+  };
+  for (const Pinned& pin :
+       {Pinned{0.0, 0xbd35d89e02ba74ceULL, 0x09c750ffae3eb989ULL,
+               0xff69614fc79c19a2ULL},
+        Pinned{1e-3, 0x4b855e8028265283ULL, 0xad58e01d0fccce2bULL,
+               0x84c33fea6fb3d5beULL}}) {
+    for (const Index threads : {Index{1}, Index{2}}) {
+      parallel::set_num_threads(threads);
+      const SparseCholesky chol(a, perm, pin.tau);
+      EXPECT_EQ(testsupport::fnv1a(chol.factor_row_ptr()), pin.row_ptr)
+          << "tau=" << pin.tau << " threads=" << threads;
+      EXPECT_EQ(testsupport::fnv1a(chol.factor_col_idx()), pin.col_idx)
+          << "tau=" << pin.tau << " threads=" << threads;
+      EXPECT_EQ(testsupport::fnv1a(chol.factor_values()), pin.values)
+          << "tau=" << pin.tau << " threads=" << threads;
     }
   }
 }

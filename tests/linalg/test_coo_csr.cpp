@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "linalg/coo.hpp"
 #include "linalg/csr.hpp"
 
@@ -145,6 +147,75 @@ TEST(Csr, SymmetricPermutationPreservesValues) {
   EXPECT_DOUBLE_EQ(p.at(2, 1), -1.0);
   EXPECT_DOUBLE_EQ(p.at(0, 1), -1.5);
   EXPECT_TRUE(p.is_symmetric());
+}
+
+// Duplicate (row, col) entries are summed left to right in insertion order
+// (the incremental solver's slot replay depends on it), for short rows and
+// for rows long enough to take the buffered sort.
+TEST(Csr, FromCooFoldsDuplicatesInInsertionOrder) {
+  for (const Index fill : {Index{0}, Index{40}}) {
+    CooMatrix coo(1, 64);
+    for (Index c = 0; c < fill; ++c) {
+      coo.add(0, 63 - c, static_cast<Real>(c));
+    }
+    // (1e16 + 1) - 1e16 == 0 in double; any other order gives 1 or 2.
+    coo.add(0, 5, 1e16);
+    coo.add(0, 7, 1.0);
+    coo.add(0, 5, 1.0);
+    coo.add(0, 5, -1e16);
+    const CsrMatrix m = CsrMatrix::from_coo(coo);
+    EXPECT_EQ(m.at(0, 5), 0.0) << "fill=" << fill;
+    EXPECT_EQ(m.at(0, 7), 1.0) << "fill=" << fill;
+    EXPECT_EQ(m.nnz(), fill + 2) << "fill=" << fill;
+    const auto cols = m.col_idx();
+    EXPECT_TRUE(std::is_sorted(cols.begin(), cols.end())) << "fill=" << fill;
+  }
+}
+
+TEST(Csr, SymmetricPermutationMatchesCooRoundTrip) {
+  const Index n = 50;
+  Rng rng(17);
+  CooMatrix coo(n, n);
+  for (Index i = 0; i < n; ++i) {
+    coo.add(i, i, 4.0 + rng.uniform());
+    for (Index k = 0; k < 3; ++k) {
+      const Index j = rng.uniform_int(0, n - 1);
+      if (j != i) {
+        coo.add_symmetric_pair(i, j, -rng.uniform());
+      }
+    }
+  }
+  const CsrMatrix m = CsrMatrix::from_coo(coo);
+  std::vector<Index> perm(static_cast<std::size_t>(n));
+  for (Index i = 0; i < n; ++i) {
+    perm[static_cast<std::size_t>(i)] = i;
+  }
+  rng.shuffle(perm);
+  CooMatrix relabelled(n, n);
+  for (Index r = 0; r < n; ++r) {
+    for (Index k = m.row_ptr()[static_cast<std::size_t>(r)];
+         k < m.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      relabelled.add(perm[static_cast<std::size_t>(r)],
+                     perm[static_cast<std::size_t>(
+                         m.col_idx()[static_cast<std::size_t>(k)])],
+                     m.values()[static_cast<std::size_t>(k)]);
+    }
+  }
+  const CsrMatrix want = CsrMatrix::from_coo(relabelled);
+  const CsrMatrix got = m.permuted_symmetric(perm);
+  EXPECT_TRUE(std::equal(got.row_ptr().begin(), got.row_ptr().end(),
+                         want.row_ptr().begin(), want.row_ptr().end()));
+  EXPECT_TRUE(std::equal(got.col_idx().begin(), got.col_idx().end(),
+                         want.col_idx().begin(), want.col_idx().end()));
+  EXPECT_TRUE(std::equal(got.values().begin(), got.values().end(),
+                         want.values().begin(), want.values().end()));
+
+  std::vector<Index> repeated = perm;
+  repeated[1] = repeated[0];
+  EXPECT_THROW(m.permuted_symmetric(repeated), ppdl::ContractViolation);
+  std::vector<Index> out_of_range = perm;
+  out_of_range[2] = n;
+  EXPECT_THROW(m.permuted_symmetric(out_of_range), ppdl::ContractViolation);
 }
 
 TEST(Csr, EmptyMatrixBehaves) {

@@ -2,6 +2,9 @@
 // the analysis / planner / core test suites.
 #pragma once
 
+#include <string>
+
+#include "analysis/mna.hpp"
 #include "core/benchmarks.hpp"
 #include "grid/generator.hpp"
 #include "grid/power_grid.hpp"
@@ -45,6 +48,18 @@ inline grid::GeneratedBenchmark make_tiny_benchmark(
   opts.seed = 12345;
   opts.initial_violation_factor = violation_factor;
   return core::make_benchmark("ibmpg1", opts);
+}
+
+/// Reduced MNA matrix of an uncalibrated IBM-PG replica — a seeded,
+/// realistic sparse SPD system for ordering and factorization tests.
+inline linalg::CsrMatrix replica_mna_matrix(const std::string& name,
+                                            Real scale, U64 seed) {
+  core::BenchmarkOptions opts;
+  opts.scale = scale;
+  opts.seed = seed;
+  opts.calibrate = false;
+  return analysis::assemble_mna(core::make_benchmark(name, opts).grid)
+      .g_reduced;
 }
 
 }  // namespace ppdl::testsupport
