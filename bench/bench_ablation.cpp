@@ -2,7 +2,7 @@
 //   * width-update strategy (proportional / uniform / worst-region):
 //     convergence iterations, wall time, and metal area of the result;
 //   * tapered vs raw per-segment sizing: learnability (r²) of the design;
-//   * CG preconditioner (none / jacobi / ic0 / ic0-level / chebyshev):
+//   * CG preconditioner (none / jacobi / ic0):
 //     analysis time.
 #include <iostream>
 #include <string>
@@ -103,9 +103,7 @@ int main(int argc, char** argv) {
   ConsoleTable prec({"solver", "CG iterations", "time (ms)"});
   for (const linalg::PreconditionerKind kind :
        {linalg::PreconditionerKind::kNone, linalg::PreconditionerKind::kJacobi,
-        linalg::PreconditionerKind::kIc0,
-        linalg::PreconditionerKind::kIc0Level,
-        linalg::PreconditionerKind::kChebyshev}) {
+        linalg::PreconditionerKind::kIc0}) {
     analysis::IrAnalysisOptions opts;
     opts.preconditioner = kind;
     const Timer timer;

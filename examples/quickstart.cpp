@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   CliParser cli("quickstart", "end-to-end PowerPlanningDL walkthrough");
   cli.add_flag("scale", "grid scale vs the paper-size spec", "0.05");
   cli.add_flag("gamma", "perturbation size (fraction)", "0.10");
-  cli.add_flag("preconditioner",
-               "CG preconditioner: none|jacobi|ic0|ic0-level|chebyshev",
-               "ic0");
+  cli.add_flag("preconditioner", "CG preconditioner: none|jacobi|ic0", "ic0");
   cli.add_switch("no-incremental",
                  "disable the incremental planner re-solve context");
   try {

@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
                 "emit and summarize a ppdl.run_report JSON document");
   cli.add_flag("scale", "grid scale vs the paper-size spec", "0.03");
   cli.add_flag("report", "where to write the run report", "run_report.json");
-  cli.add_flag("preconditioner",
-               "CG preconditioner: none|jacobi|ic0|ic0-level|chebyshev",
-               "ic0");
+  cli.add_flag("preconditioner", "CG preconditioner: none|jacobi|ic0", "ic0");
   cli.add_switch("no-incremental",
                  "disable the incremental planner re-solve context");
   try {

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/obs.hpp"
 #include "common/timer.hpp"
 #include "grid/validate.hpp"
-#include "linalg/low_rank.hpp"
 #include "linalg/ordering.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace ppdl::analysis {
 
@@ -27,8 +24,6 @@ constexpr Index kSlotsPerBranch = 4;
 IncrementalIrSolver::IncrementalIrSolver(grid::PowerGrid& pg,
                                          IncrementalSolveOptions options)
     : pg_(pg), opts_(options) {
-  PPDL_REQUIRE(opts_.low_rank_max_rank >= 0,
-               "low_rank_max_rank must be >= 0");
   PPDL_REQUIRE(opts_.staleness_budget > 0.0, "staleness_budget must be > 0");
   PPDL_REQUIRE(opts_.iteration_inflation >= 1.0,
                "iteration_inflation must be >= 1");
@@ -170,14 +165,9 @@ void IncrementalIrSolver::rebuild_factor() {
   baseline_iterations_ = 0;
   changed_since_factor_.clear();
   ++factor_stamp_;
-  // The factor serves the Woodbury path (exact only: τ = 0) and the frozen
-  // preconditioner (τ-dropped is fine and much cheaper to build and apply);
-  // skip the build entirely when neither consumer is active — notably in
-  // replicate-full mode, and for low-rank-only configs with a dropped
-  // factor.
-  const bool low_rank_active =
-      opts_.allow_low_rank && opts_.preconditioner_drop_tolerance == 0.0;
-  if (!low_rank_active && !opts_.frozen_preconditioner) {
+  // The factor's only consumer is the frozen preconditioner; replicate-full
+  // mode builds none.
+  if (!opts_.frozen_preconditioner) {
     return;
   }
   try {
@@ -193,12 +183,9 @@ void IncrementalIrSolver::rebuild_factor() {
     factor_.reset();
     return;
   }
-  if (opts_.frozen_preconditioner) {
-    // Dropping already happened at factorization; the adapter just
-    // re-encodes to float/32-bit for the sweeps.
-    frozen_precond_ =
-        std::make_unique<linalg::CholeskyPreconditioner>(*factor_);
-  }
+  // Dropping already happened at factorization; the adapter just re-encodes
+  // to float/32-bit for the sweeps.
+  frozen_precond_ = std::make_unique<linalg::CholeskyPreconditioner>(*factor_);
   const Index m = pg_.branch_count();
   g_at_factor_.resize(static_cast<std::size_t>(m));
   g_norm_at_factor_ = 0.0;
@@ -292,9 +279,6 @@ IrAnalysisResult IncrementalIrSolver::analyze(const IrAnalysisOptions& options) 
     return analyze_ir_drop(pg_, options);
   }
 
-  enum class Mode { kRebuilt, kIncremental };
-  Mode mode = Mode::kIncremental;
-
   const bool topology_changed =
       built_ && pg_.topology_epoch() != built_topology_epoch_;
   // Backstop: value mutations with an empty journal mean notifications were
@@ -306,7 +290,6 @@ IrAnalysisResult IncrementalIrSolver::analyze(const IrAnalysisOptions& options) 
   if (!built_ || topology_changed || missed_mutations) {
     const bool first = !built_;
     rebuild(options);
-    mode = Mode::kRebuilt;
     if (first) {
       ++stats_.cold_builds;
       obs::count("planner.resolve.cold");
@@ -348,129 +331,56 @@ IrAnalysisResult IncrementalIrSolver::analyze(const IrAnalysisOptions& options) 
 
     if (force_refactor_ || staleness() > opts_.staleness_budget) {
       rebuild(options);
-      mode = Mode::kRebuilt;
       ++stats_.fallbacks;
       obs::count("planner.resolve.fallback");
     }
   }
 
-  IrAnalysisResult result;
-
-  // Low-rank exact solve against the frozen factor while the cumulative
-  // delta rank stays tiny (rank 0 right after a rebuild: two triangular
-  // sweeps, an exact direct solve). Needs the exact factor — with a
-  // dropped (incomplete) one the true-residual gate below would reject
-  // every attempt, so don't waste the backsolves.
-  bool solved = false;
-  if (opts_.allow_low_rank && opts_.preconditioner_drop_tolerance == 0.0 &&
-      factor_ &&
-      static_cast<Index>(changed_since_factor_.size()) <=
-          opts_.low_rank_max_rank) {
-    std::vector<Index> changed = changed_since_factor_;
-    std::sort(changed.begin(), changed.end());
-    std::vector<linalg::RankOneUpdate> terms;
-    terms.reserve(changed.size());
-    for (const Index bi : changed) {
-      const Real delta = current_conductance(bi) -
-                         g_at_factor_[static_cast<std::size_t>(bi)];
-      if (delta == 0.0) {
-        continue;
-      }
-      const grid::Branch& b = pg_.branch(bi);
-      const Index f1 = sys_.free_of_node[static_cast<std::size_t>(b.n1)];
-      const Index f2 = sys_.free_of_node[static_cast<std::size_t>(b.n2)];
-      if (f1 < 0 && f2 < 0) {
-        continue;  // between two pads: no effect on the reduced matrix
-      }
-      linalg::RankOneUpdate term;
-      term.coefficient = delta;
-      if (f1 >= 0 && f2 >= 0) {
-        term.i = f1;
-        term.j = f2;
-      } else {
-        term.i = f1 >= 0 ? f1 : f2;
-        term.j = -1;
-      }
-      terms.push_back(term);
-    }
-    linalg::WoodburyResult wr =
-        linalg::woodbury_solve(*factor_, terms, sys_.rhs);
-    if (wr.ok) {
-      // Accept only on a true residual check against the PATCHED matrix —
-      // the exactness claim is verified, never assumed.
-      std::vector<Real> r = sys_.g_reduced.multiply(wr.x);
-      for (std::size_t i = 0; i < r.size(); ++i) {
-        r[i] = sys_.rhs[i] - r[i];
-      }
-      const Real bnorm = linalg::norm2(sys_.rhs);
-      const Real rel =
-          bnorm > 0.0 ? linalg::norm2(r) / bnorm : linalg::norm2(r);
-      if (std::isfinite(rel) && rel <= options.cg_tolerance) {
-        result.converged = true;
-        result.node_voltage = expand_solution(sys_, std::move(wr.x));
-        robust::SolveAttempt attempt;
-        attempt.step = robust::SolveStep::kDirectCholesky;
-        attempt.preconditioner = linalg::PreconditionerKind::kNone;
-        attempt.status = linalg::CgStatus::kConverged;
-        attempt.relative_residual = rel;
-        attempt.note =
-            "woodbury rank-" + std::to_string(terms.size()) + " update";
-        result.solve_report.attempts.push_back(std::move(attempt));
-        result.solve_report.converged = true;
-        result.solve_report.final_residual = rel;
-        solved = true;
-        ++stats_.low_rank_solves;
-        obs::count("planner.resolve.low_rank");
-      }
-    }
+  // Patched-matrix iterative solve, identical to analyze_ir_drop's CG path
+  // except the frozen factorization rides along as the preconditioner.
+  robust::RobustSolveOptions solve_opts;
+  solve_opts.cg.tolerance = options.cg_tolerance;
+  solve_opts.cg.preconditioner = options.preconditioner;
+  solve_opts.allow_escalation = options.escalate_on_failure;
+  solve_opts.deadline = options.deadline;
+  if (frozen_precond_) {
+    solve_opts.cg.shared_preconditioner = frozen_precond_.get();
   }
 
-  if (!solved) {
-    // Patched-matrix iterative solve, identical to analyze_ir_drop's CG path
-    // except the frozen factorization rides along as the preconditioner.
-    robust::RobustSolveOptions solve_opts;
-    solve_opts.cg.tolerance = options.cg_tolerance;
-    solve_opts.cg.preconditioner = options.preconditioner;
-    solve_opts.allow_escalation = options.escalate_on_failure;
-    solve_opts.deadline = options.deadline;
-    if (frozen_precond_) {
-      solve_opts.cg.shared_preconditioner = frozen_precond_.get();
+  std::optional<std::vector<Real>> x0;
+  if (!options.initial_voltages.empty()) {
+    PPDL_REQUIRE(static_cast<Index>(options.initial_voltages.size()) ==
+                     pg_.node_count(),
+                 "warm-start voltage size mismatch");
+    std::vector<Real> reduced(static_cast<std::size_t>(sys_.free_count));
+    for (Index f = 0; f < sys_.free_count; ++f) {
+      reduced[static_cast<std::size_t>(f)] =
+          options.initial_voltages[static_cast<std::size_t>(
+              sys_.node_of_free[static_cast<std::size_t>(f)])];
     }
+    x0 = std::move(reduced);
+  }
 
-    std::optional<std::vector<Real>> x0;
-    if (!options.initial_voltages.empty()) {
-      PPDL_REQUIRE(static_cast<Index>(options.initial_voltages.size()) ==
-                       pg_.node_count(),
-                   "warm-start voltage size mismatch");
-      std::vector<Real> reduced(static_cast<std::size_t>(sys_.free_count));
-      for (Index f = 0; f < sys_.free_count; ++f) {
-        reduced[static_cast<std::size_t>(f)] =
-            options.initial_voltages[static_cast<std::size_t>(
-                sys_.node_of_free[static_cast<std::size_t>(f)])];
-      }
-      x0 = std::move(reduced);
-    }
+  robust::RobustSolveResult solve = robust::robust_solve(
+      sys_.g_reduced, sys_.rhs, solve_opts, std::move(x0));
+  IrAnalysisResult result;
+  result.cg_iterations = solve.report.total_iterations;
+  result.converged = solve.report.converged;
+  result.solve_report = std::move(solve.report);
+  result.node_voltage = expand_solution(sys_, std::move(solve.x));
+  ++stats_.patched_solves;
+  obs::count("planner.resolve.patch");
 
-    robust::RobustSolveResult solve = robust::robust_solve(
-        sys_.g_reduced, sys_.rhs, solve_opts, std::move(x0));
-    result.cg_iterations = solve.report.total_iterations;
-    result.converged = solve.report.converged;
-    result.solve_report = std::move(solve.report);
-    result.node_voltage = expand_solution(sys_, std::move(solve.x));
-    ++stats_.patched_solves;
-    obs::count("planner.resolve.patch");
-
-    // Iteration-inflation half of the staleness budget: the first solve
-    // after a (re)factorization sets the baseline; later patched solves
-    // that blow past it schedule a refactorization.
-    if (factor_) {
-      if (baseline_iterations_ == 0) {
-        baseline_iterations_ = std::max<Index>(result.cg_iterations, 1);
-      } else if (static_cast<Real>(result.cg_iterations) >
-                 opts_.iteration_inflation *
-                     static_cast<Real>(baseline_iterations_)) {
-        force_refactor_ = true;
-      }
+  // Iteration-inflation half of the staleness budget: the first solve after
+  // a (re)factorization sets the baseline; later patched solves that blow
+  // past it schedule a refactorization.
+  if (factor_) {
+    if (baseline_iterations_ == 0) {
+      baseline_iterations_ = std::max<Index>(result.cg_iterations, 1);
+    } else if (static_cast<Real>(result.cg_iterations) >
+               opts_.iteration_inflation *
+                   static_cast<Real>(baseline_iterations_)) {
+      force_refactor_ = true;
     }
   }
 
@@ -482,7 +392,6 @@ IrAnalysisResult IncrementalIrSolver::analyze(const IrAnalysisOptions& options) 
   cached_x0_ = options.initial_voltages;
   seen_value_epoch_ = pg_.value_epoch();
   obs::gauge("planner.resolve.staleness", staleness());
-  (void)mode;
   return result;
 }
 

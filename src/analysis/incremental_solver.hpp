@@ -5,19 +5,14 @@
 // resident alternative: it keeps the assembled MNA system, a sparse Cholesky
 // factorization, and a branch→CSR slot map alive across iterations, learns
 // which branches changed through the PowerGrid value observer, and re-solves
-// with whichever of three strategies is cheapest:
+// with one of two strategies:
 //
-//   * hit      — nothing changed since the last analyze: return the cached
-//                result.
-//   * low_rank — the cumulative conductance delta since the last
-//                factorization has tiny rank: exact Sherman–Morrison/
-//                Woodbury solve against the frozen factor (k + 1 backsolve
-//                pairs), accepted only when the true residual of the PATCHED
-//                matrix meets the CG tolerance.
-//   * patch    — in-place CSR value re-summation of the dirty slots, then
-//                warm-started CG on the patched matrix with the frozen
-//                factorization as preconditioner (A₀⁻¹A ≈ I ⇒ a handful of
-//                iterations).
+//   * hit   — nothing changed since the last analyze: return the cached
+//             result.
+//   * patch — in-place CSR value re-summation of the dirty slots, then
+//             warm-started CG on the patched matrix with the frozen
+//             factorization as preconditioner (A₀⁻¹A ≈ I ⇒ a handful of
+//             iterations).
 //
 // Once the accumulated |Δg| exceeds `staleness_budget` (relative to the
 // factored matrix) or CG iteration counts inflate past
@@ -27,13 +22,12 @@
 // Bit-identity contract: the patched matrix and right-hand side are
 // bit-identical to a from-scratch assemble_mna() at the same grid state —
 // CSR duplicate merging is a stable insertion-ordered fold, and the patcher
-// replays exactly that fold per dirty slot. With `allow_low_rank` and
-// `frozen_preconditioner` both off, analyze() therefore reproduces the full
-// analyze_ir_drop() path bit-for-bit; the planner uses that mode contract in
-// its regression tests, and always runs its final verify through the full
-// path regardless.
+// replays exactly that fold per dirty slot. With `frozen_preconditioner`
+// off, analyze() therefore reproduces the full analyze_ir_drop() path
+// bit-for-bit; the planner uses that mode contract in its regression tests,
+// and always runs its final verify through the full path regardless.
 //
-// Counters `planner.resolve.{hit,low_rank,patch,fallback}` and the
+// Counters `planner.resolve.{hit,patch,fallback}` and the
 // `planner.resolve.staleness` gauge are emitted through ppdl::obs.
 #pragma once
 
@@ -45,24 +39,17 @@
 #include "analysis/mna.hpp"
 #include "grid/power_grid.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/low_rank.hpp"
 
 namespace ppdl::analysis {
 
 /// Tuning knobs for the incremental context (the per-call analysis options
 /// ride in through analyze()).
 struct IncrementalSolveOptions {
-  /// Use the Woodbury identity when the cumulative delta rank is at most
-  /// `low_rank_max_rank`. Exact (up to round-off), verified by a true
-  /// residual check before acceptance.
-  bool allow_low_rank = true;
-  Index low_rank_max_rank = 16;
   /// Use the frozen factorization as the CG preconditioner on the patch
-  /// path. Off (together with allow_low_rank = false) analyze() replays the
-  /// full analyze_ir_drop() solve bit-for-bit.
+  /// path. Off, no factor is built and analyze() replays the full
+  /// analyze_ir_drop() solve bit-for-bit.
   bool frozen_preconditioner = true;
-  /// Drop |L(i,j)| ≤ τ·|L(i,i)| from the frozen preconditioner's copy of
-  /// the factor (the exact factor is untouched — Woodbury stays exact).
+  /// Drop |L(i,j)| ≤ τ·|L(i,i)| while factoring (IC-τ; 0 = exact factor).
   /// Power-grid factors decay fast: the default sheds ~60 % of the entries
   /// (and with them the latency-bound sweep cost of every patched-CG
   /// iteration) for at most one extra iteration.
@@ -79,7 +66,6 @@ struct IncrementalSolveOptions {
 /// can assert without the metrics registry).
 struct ResolveStats {
   std::uint64_t hits = 0;
-  std::uint64_t low_rank_solves = 0;
   std::uint64_t patched_solves = 0;
   std::uint64_t fallbacks = 0;  ///< full rebuilds after the first
   std::uint64_t cold_builds = 0;

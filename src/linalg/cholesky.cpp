@@ -459,4 +459,95 @@ std::vector<Real> SparseCholesky::solve(std::span<const Real> b) const {
   return out;
 }
 
+CholeskyPreconditioner::CholeskyPreconditioner(
+    const SparseCholesky& factorization, Real drop_tolerance)
+    : factorization_(factorization) {
+  PPDL_REQUIRE(drop_tolerance >= 0.0 && drop_tolerance < 1.0,
+               "frozen-cholesky: drop tolerance must be in [0, 1)");
+  const Index n = factorization.dimension();
+  const auto rp = factorization.factor_row_ptr();
+  const auto ci = factorization.factor_col_idx();
+  const auto lv = factorization.factor_values();
+  row_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
+  col_idx_.reserve(lv.size());
+  values_.reserve(lv.size());
+  for (Index i = 0; i < n; ++i) {
+    // Diagonal is last in each row and always kept (L̃ stays nonsingular,
+    // so M = L̃L̃ᵀ stays SPD no matter how aggressively we drop).
+    const Index last = rp[static_cast<std::size_t>(i) + 1] - 1;
+    const Real threshold =
+        drop_tolerance * std::abs(lv[static_cast<std::size_t>(last)]);
+    for (Index k = rp[static_cast<std::size_t>(i)]; k < last; ++k) {
+      if (std::abs(lv[static_cast<std::size_t>(k)]) > threshold) {
+        col_idx_.push_back(
+            static_cast<std::int32_t>(ci[static_cast<std::size_t>(k)]));
+        values_.push_back(
+            static_cast<float>(lv[static_cast<std::size_t>(k)]));
+      }
+    }
+    col_idx_.push_back(static_cast<std::int32_t>(i));
+    values_.push_back(static_cast<float>(lv[static_cast<std::size_t>(last)]));
+    row_ptr_[static_cast<std::size_t>(i) + 1] =
+        static_cast<std::int32_t>(values_.size());
+  }
+  work_.resize(static_cast<std::size_t>(n));
+}
+
+void CholeskyPreconditioner::apply(std::span<const Real> r,
+                                   std::span<Real> out) const {
+  const Index n = factorization_.dimension();
+  PPDL_REQUIRE(static_cast<Index>(r.size()) == n,
+               "frozen-cholesky apply: size mismatch");
+  PPDL_REQUIRE(r.size() == out.size(),
+               "frozen-cholesky apply: output size mismatch");
+
+  const auto perm = factorization_.permutation();
+  float* const x = work_.data();
+  if (perm.empty()) {
+    for (Index i = 0; i < n; ++i) {
+      x[i] = static_cast<float>(r[static_cast<std::size_t>(i)]);
+    }
+  } else {
+    for (Index i = 0; i < n; ++i) {
+      x[perm[static_cast<std::size_t>(i)]] =
+          static_cast<float>(r[static_cast<std::size_t>(i)]);
+    }
+  }
+
+  const std::int32_t* const rp = row_ptr_.data();
+  const std::int32_t* const ci = col_idx_.data();
+  const float* const lv = values_.data();
+  // Forward: L z = r.
+  for (Index i = 0; i < n; ++i) {
+    const std::int32_t beg = rp[i];
+    const std::int32_t end = rp[i + 1];
+    float acc = x[i];
+    for (std::int32_t k = beg; k < end - 1; ++k) {
+      acc -= lv[k] * x[ci[k]];
+    }
+    x[i] = acc / lv[end - 1];
+  }
+  // Backward: Lᵀ y = z.
+  for (Index i = n - 1; i >= 0; --i) {
+    const std::int32_t beg = rp[i];
+    const std::int32_t end = rp[i + 1];
+    const float yi = x[i] / lv[end - 1];
+    x[i] = yi;
+    for (std::int32_t k = beg; k < end - 1; ++k) {
+      x[ci[k]] -= lv[k] * yi;
+    }
+  }
+
+  if (perm.empty()) {
+    for (Index i = 0; i < n; ++i) {
+      out[static_cast<std::size_t>(i)] = static_cast<Real>(x[i]);
+    }
+  } else {
+    for (Index i = 0; i < n; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          static_cast<Real>(x[perm[static_cast<std::size_t>(i)]]);
+    }
+  }
+}
+
 }  // namespace ppdl::linalg

@@ -7,12 +7,14 @@
 // matrices; factor() accepts an optional symmetric permutation.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/types.hpp"
 #include "linalg/csr.hpp"
+#include "linalg/preconditioner.hpp"
 
 namespace ppdl::linalg {
 
@@ -62,6 +64,35 @@ class SparseCholesky {
   std::vector<Real> values_;
   // Optional permutation (perm_[old] = new).
   std::vector<Index> perm_;
+};
+
+/// Adapter exposing a SparseCholesky factorization as a CG preconditioner:
+/// apply(r) ≈ A₀⁻¹r against the frozen matrix. The adapter keeps its own
+/// single-precision copy of L (float values, 32-bit indices) and optionally
+/// drops entries with |L(i,j)| ≤ drop_tolerance·|L(i,i)|: the two
+/// triangular sweeps are latency-bound indexed walks, so their cost scales
+/// with the entry count, and power-grid factors decay fast enough that
+/// half the entries buy almost no convergence (measured: τ = 1e-4 keeps
+/// ~55 % of L, same CG iteration count on a patched system, ~40 % cheaper
+/// apply). Approximating a preconditioner is harmless — it stays a fixed
+/// near-A₀⁻¹ SPD operator — while the exact consumer (the kCholesky ladder
+/// rung) keeps using the double factor directly. Non-owning: the
+/// factorization must outlive the preconditioner.
+class CholeskyPreconditioner final : public Preconditioner {
+ public:
+  explicit CholeskyPreconditioner(const SparseCholesky& factorization,
+                                  Real drop_tolerance = 0.0);
+  void apply(std::span<const Real> r, std::span<Real> out) const override;
+  const char* name() const override { return "frozen-cholesky"; }
+  /// Entries kept after dropping (≤ factorization.factor_nnz()).
+  Index kept_nnz() const { return static_cast<Index>(values_.size()); }
+
+ private:
+  const SparseCholesky& factorization_;
+  std::vector<std::int32_t> row_ptr_;
+  std::vector<std::int32_t> col_idx_;
+  std::vector<float> values_;
+  mutable std::vector<float> work_;  ///< scratch for the sweeps (serial CG)
 };
 
 }  // namespace ppdl::linalg

@@ -3,16 +3,6 @@
 // Power-grid conductance matrices are SPD M-matrices; Jacobi works but IC(0)
 // (zero fill-in incomplete Cholesky) cuts iteration counts several-fold on
 // large meshes — this is the default for the conventional-planner analysis.
-//
-// The serial IC(0) triangular solves are a row-to-row dependency chain, so
-// two parallel-friendly members complete the family:
-//   * ic0-level — the same IC(0) factor, but the forward/backward solves are
-//     partitioned into dependency levels; rows within a level are
-//     independent and run through common/parallel. Output is bit-identical
-//     to the serial solves for any thread count.
-//   * chebyshev — a fixed-degree Chebyshev polynomial in A. Pure SpMV plus
-//     vector kernels, so it scales exactly as well as the rest of the CG
-//     iteration; no triangular solve at all.
 #pragma once
 
 #include <memory>
@@ -27,9 +17,9 @@
 namespace ppdl::linalg {
 
 /// Thrown when a preconditioner cannot be built or applied for numerical
-/// reasons on the given input — a zero diagonal, an incomplete factorization
-/// that breaks down even with diagonal shifting, an empty/non-finite
-/// spectral bound. This is the solver-side member of the project error
+/// reasons on the given input — a zero diagonal, or an incomplete
+/// factorization that breaks down even with diagonal shifting. This is the
+/// solver-side member of the project error
 /// taxonomy (NetlistError, ArtifactError, …): callers catch by class and
 /// escalate (robust::robust_solve records it and climbs the ladder).
 /// Structural API misuse (non-square matrix, size mismatch) stays a
@@ -71,25 +61,11 @@ class JacobiPreconditioner final : public Preconditioner {
   std::vector<Real> inv_diag_;
 };
 
-namespace detail {
-
-/// Zero fill-in incomplete Cholesky factor shared by the serial and
-/// level-scheduled preconditioners: A ≈ L Lᵀ with the sparsity of tril(A),
+/// Zero fill-in incomplete Cholesky: A ≈ L Lᵀ with the sparsity of tril(A),
 /// stored as lower-triangular CSR with each row sorted by column and the
-/// diagonal entry last. Breakdown (non-positive pivot) is repaired by
-/// diagonal shifting; PreconditionerError when shifting cannot save it.
-struct Ic0Factor {
-  Index n = 0;
-  std::vector<Index> row_ptr;
-  std::vector<Index> col_idx;
-  std::vector<Real> values;
-};
-
-Ic0Factor build_ic0_factor(const CsrMatrix& a);
-
-}  // namespace detail
-
-/// Zero fill-in incomplete Cholesky with serial triangular solves.
+/// diagonal entry last, applied by serial triangular solves. Breakdown
+/// (non-positive pivot) is repaired by diagonal shifting;
+/// PreconditionerError when shifting cannot save it.
 class Ic0Preconditioner final : public Preconditioner {
  public:
   explicit Ic0Preconditioner(const CsrMatrix& a);
@@ -97,122 +73,22 @@ class Ic0Preconditioner final : public Preconditioner {
   const char* name() const override { return "ic0"; }
 
  private:
-  detail::Ic0Factor l_;
+  Index n_ = 0;
+  std::vector<Index> row_ptr_;
+  std::vector<Index> col_idx_;
+  std::vector<Real> values_;
 };
 
-/// IC(0) with level-scheduled triangular solves: rows are grouped into
-/// dependency levels (level(i) = 1 + max level of the rows it reads), rows
-/// within a level are independent and execute via parallel::for_range. Each
-/// row accumulates in exactly the order the serial solve uses — including
-/// the backward substitution, which is re-expressed as a "pull" over the
-/// transposed factor with columns enumerated in descending order to replay
-/// the serial scatter-update order — so the output is bit-identical to
-/// Ic0Preconditioner on the same matrix, for any thread count.
-///
-/// With `use_rcm` (default) the matrix is first symmetrically permuted by
-/// reverse Cuthill–McKee, which on mesh graphs trades many narrow levels
-/// for fewer wide ones (more rows per parallel region). The factor is then
-/// the IC(0) of the permuted matrix: output matches the serial
-/// Ic0Preconditioner of P·A·Pᵀ, conjugated by P — equally valid as an SPD
-/// preconditioner, numerically different from the unpermuted factor.
-class LevelScheduledIc0Preconditioner final : public Preconditioner {
- public:
-  explicit LevelScheduledIc0Preconditioner(const CsrMatrix& a,
-                                           bool use_rcm = true);
-  /// Not thread-safe per instance (reuses internal scratch buffers); use
-  /// one instance per concurrent solve, as CG does.
-  void apply(std::span<const Real> r, std::span<Real> out) const override;
-  const char* name() const override { return "ic0-level"; }
+enum class PreconditionerKind { kNone, kJacobi, kIc0 };
 
-  /// Dependency-level counts of the triangular solves (diagnostics; the
-  /// parallel speedup ceiling is n / levels rows per region).
-  Index forward_level_count() const {
-    return static_cast<Index>(fwd_level_ptr_.size()) - 1;
-  }
-  Index backward_level_count() const {
-    return static_cast<Index>(bwd_level_ptr_.size()) - 1;
-  }
-
- private:
-  void solve_in_place(std::span<Real> v) const;
-
-  detail::Ic0Factor l_;
-  std::vector<Index> perm_;  ///< old→new RCM permutation; empty = identity
-  // Lᵀ view for the backward pull solve: for each row i the entries
-  // (j, L(j, i)) with j > i, stored by DESCENDING j (serial-order replay).
-  std::vector<Index> t_row_ptr_;
-  std::vector<Index> t_col_idx_;
-  std::vector<Real> t_values_;
-  // Rows grouped by dependency level: rows_[level_ptr_[k]..level_ptr_[k+1])
-  // are level k, ascending row index within a level.
-  std::vector<Index> fwd_level_ptr_;
-  std::vector<Index> fwd_rows_;
-  std::vector<Index> bwd_level_ptr_;
-  std::vector<Index> bwd_rows_;
-  mutable std::vector<Real> scratch_;  ///< permuted work vector
-};
-
-struct ChebyshevOptions {
-  /// Number of Chebyshev iterations one apply performs (= degree of the
-  /// polynomial in A plus one matters only to pedants; cost is degree − 1
-  /// SpMVs per apply).
-  Index degree = 4;
-  /// λmin is taken as λmax / eig_ratio — the classic smoother convention;
-  /// must be > 1. Overestimating λmin keeps the polynomial positive on
-  /// (0, λmax], so the operator stays SPD even when the guess is crude.
-  Real eig_ratio = 30.0;
-  /// Power-method iterations refining the Gershgorin λmax bound (0 = use
-  /// Gershgorin alone). Deterministic: fixed all-ones start vector.
-  Index power_iterations = 8;
-};
-
-/// Fixed-degree Chebyshev polynomial preconditioner: one apply runs the
-/// Chebyshev semi-iteration for A z = r on the interval [λmin, λmax] with
-/// z₀ = 0, a fixed linear SPD operator in A (valid for PCG). λmax comes
-/// from the Gershgorin row-sum bound (a guaranteed upper bound), optionally
-/// tightened by a few deterministic power iterations with a 1.2× safety
-/// margin; p(A) is positive definite whenever the spectrum sits inside
-/// (0, λmax]. Should a tightened bound ever miss the top of the spectrum,
-/// PCG detects the indefinite operator as a breakdown and the robust
-/// ladder escalates — a recoverable typed failure, never silent error.
-///
-/// Holds a reference to `a`: the matrix must outlive the preconditioner
-/// (the same lifetime CG already guarantees for the matrix it solves).
-class ChebyshevPreconditioner final : public Preconditioner {
- public:
-  explicit ChebyshevPreconditioner(const CsrMatrix& a,
-                                   const ChebyshevOptions& options = {});
-  /// Not thread-safe per instance (reuses internal scratch buffers); use
-  /// one instance per concurrent solve, as CG does.
-  void apply(std::span<const Real> r, std::span<Real> out) const override;
-  const char* name() const override { return "chebyshev"; }
-
-  Real lambda_min() const { return lambda_min_; }
-  Real lambda_max() const { return lambda_max_; }
-  Index degree() const { return degree_; }
-
- private:
-  const CsrMatrix& a_;
-  Index degree_ = 4;
-  Real lambda_min_ = 0.0;
-  Real lambda_max_ = 0.0;
-  mutable std::vector<Real> d_;    ///< current correction
-  mutable std::vector<Real> res_;  ///< running residual r − A·z
-  mutable std::vector<Real> ad_;   ///< A·d
-};
-
-enum class PreconditionerKind { kNone, kJacobi, kIc0, kIc0Level, kChebyshev };
-
-/// Canonical CLI/report name of a kind ("none", "jacobi", "ic0",
-/// "ic0-level", "chebyshev").
+/// Canonical CLI/report name of a kind ("none", "jacobi", "ic0").
 const char* to_string(PreconditionerKind kind);
 
 /// Factory.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const CsrMatrix& a);
 
-/// Parse "none" / "jacobi" / "ic0" / "ic0-level" / "chebyshev"; throws
-/// ContractViolation otherwise.
+/// Parse "none" / "jacobi" / "ic0"; throws ContractViolation otherwise.
 PreconditionerKind parse_preconditioner(const std::string& name);
 
 }  // namespace ppdl::linalg

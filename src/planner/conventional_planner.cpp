@@ -256,9 +256,9 @@ PlannerResult run_conventional_planner(grid::PowerGrid& pg,
   }
 
   // Incremental runs end with one verify through the FULL path at the final
-  // widths — the report's final_analysis never rests on a patched or
-  // low-rank solve. (The accepted state's voltages seed it, so a healthy
-  // verify converges immediately and bit-reproduces the accepted solution.)
+  // widths — the report's final_analysis never rests on a patched solve.
+  // (The accepted state's voltages seed it, so a healthy verify converges
+  // immediately and bit-reproduces the accepted solution.)
   if (resolve != nullptr && result.converged && !options.deadline.expired()) {
     analysis::IrAnalysisResult full = analysis::analyze_ir_drop(pg, solver);
     result.analysis_seconds += full.solve_seconds;

@@ -27,14 +27,14 @@ struct PlannerOptions {
   /// Warm-start each iteration's CG from the previous solution.
   bool warm_start = true;
   /// Reuse one resident solve context across iterations (cached MNA system +
-  /// frozen factorization, in-place CSR patching, Woodbury low-rank updates;
-  /// see analysis::IncrementalIrSolver) instead of assembling and solving
+  /// frozen factorization, in-place CSR patching; see
+  /// analysis::IncrementalIrSolver) instead of assembling and solving
   /// from scratch every iteration. The final verified analysis always runs
   /// through the full path regardless. CLI escape hatch: --no-incremental.
   bool incremental = true;
   /// Tuning for the resident context (ignored when !incremental). Setting
-  /// allow_low_rank and frozen_preconditioner both false makes every
-  /// incremental solve replay the full path bit-for-bit.
+  /// frozen_preconditioner false makes every incremental solve replay the
+  /// full path bit-for-bit.
   analysis::IncrementalSolveOptions resolve;
   /// After convergence, relax sized widths back toward the margin (the
   /// widening loop overshoots by a trajectory-dependent factor; recovering

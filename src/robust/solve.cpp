@@ -214,10 +214,9 @@ RobustSolveResult robust_solve(const linalg::CsrMatrix& a,
     return std::nullopt;
   };
 
-  // Rung 2: stronger preconditioners than the one that just failed. Serial
-  // IC(0) is the strongest rung (the parallel-friendly kinds trade strength
-  // for scalability, so they escalate to it too); from IC(0) there is
-  // nowhere stronger to go but regularization.
+  // Rung 2: stronger preconditioners than the one that just failed. IC(0)
+  // is the strongest rung; from it there is nowhere stronger to go but
+  // regularization.
   std::vector<linalg::PreconditionerKind> stronger;
   switch (options.cg.preconditioner) {
     case linalg::PreconditionerKind::kNone:
@@ -225,8 +224,6 @@ RobustSolveResult robust_solve(const linalg::CsrMatrix& a,
                   linalg::PreconditionerKind::kIc0};
       break;
     case linalg::PreconditionerKind::kJacobi:
-    case linalg::PreconditionerKind::kChebyshev:
-    case linalg::PreconditionerKind::kIc0Level:
       stronger = {linalg::PreconditionerKind::kIc0};
       break;
     case linalg::PreconditionerKind::kIc0:

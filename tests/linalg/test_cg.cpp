@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -85,14 +84,9 @@ TEST_P(CgPreconditioners, Solves2dMesh) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, CgPreconditioners,
                          ::testing::Values(PreconditionerKind::kNone,
                                            PreconditionerKind::kJacobi,
-                                           PreconditionerKind::kIc0,
-                                           PreconditionerKind::kIc0Level,
-                                           PreconditionerKind::kChebyshev),
+                                           PreconditionerKind::kIc0),
                          [](const auto& param_info) {
-                           // gtest names must be identifiers: '-' -> '_'.
-                           std::string name = to_string(param_info.param);
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
+                           return std::string(to_string(param_info.param));
                          });
 
 TEST(Cg, ZeroRhsGivesZeroSolution) {

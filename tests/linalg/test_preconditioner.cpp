@@ -123,27 +123,22 @@ TEST(Factory, MakesEveryKind) {
                "jacobi");
   EXPECT_STREQ(make_preconditioner(PreconditionerKind::kIc0, a)->name(),
                "ic0");
-  EXPECT_STREQ(make_preconditioner(PreconditionerKind::kIc0Level, a)->name(),
-               "ic0-level");
-  EXPECT_STREQ(make_preconditioner(PreconditionerKind::kChebyshev, a)->name(),
-               "chebyshev");
 }
 
 TEST(Factory, ParsesNames) {
   EXPECT_EQ(parse_preconditioner("none"), PreconditionerKind::kNone);
   EXPECT_EQ(parse_preconditioner("jacobi"), PreconditionerKind::kJacobi);
   EXPECT_EQ(parse_preconditioner("ic0"), PreconditionerKind::kIc0);
-  EXPECT_EQ(parse_preconditioner("ic0-level"), PreconditionerKind::kIc0Level);
-  EXPECT_EQ(parse_preconditioner("chebyshev"),
-            PreconditionerKind::kChebyshev);
   EXPECT_THROW(parse_preconditioner("lu"), ppdl::ContractViolation);
+  // Kinds that once existed are rejected like any unknown name.
+  EXPECT_THROW(parse_preconditioner("ic0-level"), ppdl::ContractViolation);
+  EXPECT_THROW(parse_preconditioner("chebyshev"), ppdl::ContractViolation);
 }
 
 TEST(Factory, RoundTripsKindNames) {
   for (const PreconditionerKind kind :
        {PreconditionerKind::kNone, PreconditionerKind::kJacobi,
-        PreconditionerKind::kIc0, PreconditionerKind::kIc0Level,
-        PreconditionerKind::kChebyshev}) {
+        PreconditionerKind::kIc0}) {
     EXPECT_EQ(parse_preconditioner(to_string(kind)), kind);
   }
 }

@@ -40,7 +40,7 @@ PLANNER_FAMILIES = ("planner_full", "planner_incremental")
 # Must mirror linalg::PreconditionerKind / to_string(): the sweep emits one
 # cg_solve_<kind> row family per kind, so a kind added to the solver without
 # a bench row fails here.
-PRECONDITIONER_KINDS = ("none", "jacobi", "ic0", "ic0-level", "chebyshev")
+PRECONDITIONER_KINDS = ("none", "jacobi", "ic0")
 
 REQUIRED_FAMILIES = ("spmv", "dot") + tuple(
     f"cg_solve_{kind}" for kind in PRECONDITIONER_KINDS
